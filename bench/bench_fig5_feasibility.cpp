@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/framework.hpp"
+#include "replay/framework.hpp"
 #include "replay/sweep.hpp"
 
 using namespace jupiter;
@@ -32,7 +32,7 @@ void live_run(const ServiceSpec& spec) {
   JupiterStrategy strategy(sc.book, spec, sc.history_start,
                            {.horizon_minutes = 60, .max_nodes = 9});
   BiddingFramework fw(sim, provider, sc.book, strategy, spec, sc.zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   fw.start(sc.replay_start);
   sim.run_until(sc.replay_end);
   std::printf(

@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+#include "util/time.hpp"
+
 namespace jupiter {
 
 struct RegionInfo {
@@ -42,9 +45,21 @@ int zone_index_by_name(const std::string& name);
 /// independence assumption is exactly what such outages violate).
 std::vector<int> zones_in_region(int region);
 
-/// Mean VM startup latency for a region, in seconds.  Startup times are
-/// 200-700 s and vary mainly by region (Mao & Humphrey; paper §4).
-/// Deterministic per region; per-launch jitter is applied by the provider.
+/// The startup band: VM startup takes 200-700 s and varies mainly by region
+/// (Mao & Humphrey; paper §4).
+inline constexpr TimeDelta kMinStartup = 200;
+/// The band's upper end, which is also the replacement lead time: every
+/// driver requests the next interval's instances this many seconds before
+/// the boundary, so a worst-case startup finishes by it and replacement
+/// never dips below quorum by itself.
+inline constexpr TimeDelta kMaxStartupLead = 700;
+
+/// Mean VM startup latency for a region, in seconds.  Deterministic per
+/// region; per-launch jitter comes from draw_startup.
 double region_startup_mean_seconds(int region);
+
+/// Draws one instance-startup latency for `zone`: the region's mean with
+/// +/-20% jitter, clamped to [kMinStartup, kMaxStartupLead].
+TimeDelta draw_startup(Rng& rng, int zone);
 
 }  // namespace jupiter

@@ -4,13 +4,13 @@
 //   market  — spot price traces, the semi-Markov price model, billing rules
 //   cloud   — EC2-shaped regions/types/prices and the instance lifecycle
 //   quorum  — acceptance sets and availability theory (Eq. 1, Eq. 11)
-//   core    — the contribution: failure model, online bidder, strategies,
-//             and the live bidding framework
+//   core    — the contribution: failure model, online bidder, strategies
 //   ec      — GF(256) Reed-Solomon coding
 //   paxos   — multi-Paxos SMR and RS-Paxos
 //   lock    — the Chubby-style lock service
 //   storage — the erasure-coded KV store
-//   replay  — scenarios, the trace-replay engine, sweeps and reports
+//   replay  — scenarios, the instance lifecycle shared by the trace-replay
+//             engine and the live bidding framework, sweeps and reports
 #pragma once
 
 #include "cloud/instance_type.hpp"
@@ -18,7 +18,6 @@
 #include "cloud/region.hpp"
 #include "cloud/trace_book.hpp"
 #include "core/failure_model.hpp"
-#include "core/framework.hpp"
 #include "core/market_state.hpp"
 #include "core/online_bidder.hpp"
 #include "core/service_spec.hpp"
@@ -38,6 +37,7 @@
 #include "quorum/acceptance_set.hpp"
 #include "quorum/availability.hpp"
 #include "replay/adaptive.hpp"
+#include "replay/framework.hpp"
 #include "replay/replay_engine.hpp"
 #include "replay/report.hpp"
 #include "replay/sla.hpp"

@@ -1,10 +1,8 @@
 #include "replay/replay_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
-#include "cloud/region.hpp"
 #include "core/market_state.hpp"
 #include "market/billing.hpp"
 #include "obs/obs.hpp"
@@ -13,30 +11,8 @@ namespace jupiter {
 
 namespace {
 
-struct Holding {
-  int zone = -1;
-  PriceTick bid;
-  bool spot = true;
-  SimTime launch;
-  SimTime ready;                 // end of startup
-  std::optional<SimTime> oob;    // out-of-bid instant, if ever
-  bool never_ran = false;        // price already above bid at request time
-
-  bool alive_at(SimTime t) const {
-    if (never_ran) return false;
-    return !oob || *oob > t;
-  }
-};
-
-}  // namespace
-
-TimeDelta draw_startup(Rng& rng, int zone) {
-  int region = all_zones().at(static_cast<std::size_t>(zone)).region;
-  double mean = region_startup_mean_seconds(region);
-  auto secs = static_cast<TimeDelta>(mean * rng.uniform(0.8, 1.2));
-  return std::clamp<TimeDelta>(secs, 200, 700);
-}
-
+/// Seconds of [t0, t1) during which fewer than `quorum` of the members'
+/// up-intervals [up_from, up_to) overlap.
 TimeDelta quorum_downtime(const std::vector<std::pair<SimTime, SimTime>>& ups,
                           SimTime t0, SimTime t1, int quorum) {
   std::vector<SimTime> edges{t0, t1};
@@ -58,25 +34,92 @@ TimeDelta quorum_downtime(const std::vector<std::pair<SimTime, SimTime>>& ups,
   return down;
 }
 
-bool ReplayResult::internally_consistent(std::string* why) const {
-  auto fail = [why](std::string msg) {
-    if (why) *why = std::move(msg);
-    return false;
-  };
+std::vector<const Holding*> views(const std::vector<Holding>& holdings) {
+  std::vector<const Holding*> out;
+  out.reserve(holdings.size());
+  for (const Holding& h : holdings) out.push_back(&h);
+  return out;
+}
+
+}  // namespace
+
+KeepPlan plan_keeps(const std::vector<const Holding*>& holdings,
+                    const StrategyDecision& decision, SimTime t) {
+  const auto& bids = decision.spot_bids;
+  const auto& od_zones = decision.on_demand_zones;
+  KeepPlan plan;
+  plan.keep.assign(holdings.size(), 0);
+  std::vector<char> spot_used(bids.size(), 0);
+  std::vector<char> od_used(od_zones.size(), 0);
+  for (std::size_t k = 0; k < holdings.size(); ++k) {
+    const Holding& h = *holdings[k];
+    if (!h.alive(t)) continue;
+    if (h.spot) {
+      for (std::size_t i = 0; i < bids.size(); ++i) {
+        if (!spot_used[i] && bids[i].zone == h.zone && bids[i].bid == h.bid) {
+          spot_used[i] = plan.keep[k] = 1;
+          break;
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < od_zones.size(); ++i) {
+        if (!od_used[i] && od_zones[i] == h.zone) {
+          od_used[i] = plan.keep[k] = 1;
+          break;
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < bids.size(); ++i) {
+    if (!spot_used[i]) plan.spot_launches.push_back(bids[i]);
+  }
+  for (std::size_t i = 0; i < od_zones.size(); ++i) {
+    if (!od_used[i]) plan.on_demand_launches.push_back(od_zones[i]);
+  }
+  return plan;
+}
+
+Money bill_retired(const Holding& h, const TraceBook& book, InstanceKind kind,
+                   SimTime term) {
+  if (!h.spot) {
+    return bill_on_demand(on_demand_price_zone(h.zone, kind), h.launch, term);
+  }
+  if (h.never_ran) return Money();
+  return bill_spot_instance(book.trace(h.zone, kind), h.launch, term, h.bid)
+      .charge;
+}
+
+TimeDelta window_downtime(const std::vector<const Holding*>& members,
+                          SimTime t0, SimTime t1, int intended,
+                          const ServiceSpec& spec) {
+  if (intended <= 0) return t1 - t0;
+  std::vector<std::pair<SimTime, SimTime>> ups;
+  for (const Holding* h : members) {
+    if (h->never_ran) continue;
+    SimTime from = std::max(t0, h->ready);
+    SimTime to = h->death ? std::min(t1, *h->death) : t1;
+    if (from < to) ups.emplace_back(from, to);
+  }
+  return quorum_downtime(ups, t0, t1, spec.quorum(intended));
+}
+
+std::string timeline_inconsistency(const std::vector<IntervalRecord>& timeline,
+                                   int decisions, TimeDelta downtime,
+                                   TimeDelta elapsed, int out_of_bid,
+                                   int launches, Money cost) {
   if (decisions != static_cast<int>(timeline.size())) {
-    return fail("decisions != timeline size");
+    return "decisions != timeline size";
   }
   TimeDelta down_sum = 0, len_sum = 0;
   int oob_sum = 0, launch_sum = 0;
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const IntervalRecord& rec = timeline[i];
     if (rec.downtime < 0 || rec.downtime > rec.length) {
-      return fail("interval " + std::to_string(i) +
-                  " downtime outside [0, length]");
+      return "interval " + std::to_string(i) + " downtime outside [0, length]";
     }
     if (i + 1 < timeline.size() &&
         rec.start + rec.length != timeline[i + 1].start) {
-      return fail("interval " + std::to_string(i) + " does not tile");
+      return "interval " + std::to_string(i) + " does not tile";
     }
     down_sum += rec.downtime;
     len_sum += rec.length;
@@ -84,19 +127,23 @@ bool ReplayResult::internally_consistent(std::string* why) const {
     launch_sum += rec.launches;
   }
   if (down_sum != downtime) {
-    return fail("downtime total != sum of attributed quorum-loss seconds");
+    return "downtime total != sum of attributed quorum-loss seconds";
   }
   if (!timeline.empty() && len_sum != elapsed) {
-    return fail("interval lengths do not cover the replay window");
+    return "interval lengths do not cover the window";
   }
-  if (oob_sum != out_of_bid_events) {
-    return fail("out-of-bid total != timeline sum");
-  }
-  if (launch_sum != instances_launched) {
-    return fail("launch total != timeline sum");
-  }
-  if (cost.micros() < 0) return fail("negative total cost");
-  return true;
+  if (oob_sum != out_of_bid) return "out-of-bid total != timeline sum";
+  if (launch_sum != launches) return "launch total != timeline sum";
+  if (cost.micros() < 0) return "negative total cost";
+  return {};
+}
+
+bool ReplayResult::internally_consistent(std::string* why) const {
+  std::string err =
+      timeline_inconsistency(timeline, decisions, downtime, elapsed,
+                             out_of_bid_events, instances_launched, cost);
+  if (why && !err.empty()) *why = err;
+  return err.empty();
 }
 
 ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
@@ -119,86 +166,43 @@ ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
 
     // Replacements are decided and launched a lead time before the
     // boundary (paper §4: "the new spot instances are launched before the
-    // next bidding interval starts"), so a worst-case 700 s startup still
+    // next bidding interval starts"), so a worst-case startup still
     // finishes by the boundary and replacement causes no quorum dip.
     SimTime decide_at = first_interval ? t : t - kMaxStartupLead;
     MarketSnapshot snapshot = snapshot_at(book, kind, cfg.zones, decide_at);
     std::vector<ZoneBid> held;
     for (const Holding& h : holdings) {
-      if (h.spot && h.alive_at(decide_at)) held.push_back(ZoneBid{h.zone, h.bid});
+      if (h.spot && h.alive(decide_at)) held.push_back(ZoneBid{h.zone, h.bid});
     }
     StrategyDecision decision = strategy.decide(snapshot, decide_at, held);
     node_sum += decision.total_nodes();
 
-    IntervalRecord rec;
-    rec.start = t;
-    rec.length = t_end - t;
-    rec.nodes = decision.total_nodes();
-    int launches_before = result.instances_launched;
-    int oob_before = result.out_of_bid_events;
-    TimeDelta downtime_before = result.downtime;
-
-    // ---- reconcile holdings against the decision ----
+    // ---- reconcile holdings against the decision; retire at the boundary ----
+    KeepPlan plan = plan_keeps(views(holdings), decision, decide_at);
     std::vector<Holding> next;
-    std::vector<char> matched_spot(decision.spot_bids.size(), 0);
-    std::vector<char> matched_od(decision.on_demand_zones.size(), 0);
-    for (const Holding& h : holdings) {
-      bool keep = false;
-      if (h.alive_at(decide_at)) {
-        if (h.spot) {
-          for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-            const auto& b = decision.spot_bids[i];
-            if (!matched_spot[i] && b.zone == h.zone && b.bid == h.bid) {
-              matched_spot[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-            if (!matched_od[i] && decision.on_demand_zones[i] == h.zone) {
-              matched_od[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        }
-      }
-      if (keep) {
-        next.push_back(h);
-        continue;
-      }
-      // Terminate (or account the earlier out-of-bid death of) the holding.
-      if (h.spot) {
-        if (!h.never_ran) {
-          SpotBill bill = bill_spot_instance(book.trace(h.zone, kind),
-                                             h.launch, t, h.bid);
-          result.cost += bill.charge;
-        }
+    for (std::size_t k = 0; k < holdings.size(); ++k) {
+      if (plan.keep[k]) {
+        next.push_back(holdings[k]);
       } else {
-        result.cost += bill_on_demand(on_demand_price_zone(h.zone, kind),
-                                      h.launch, t);
+        result.cost += bill_retired(holdings[k], book, kind, t);
       }
     }
     holdings = std::move(next);
 
     // ---- launch new instances (at decide_at, i.e. pre-boundary) ----
-    for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-      if (matched_spot[i]) continue;
-      const auto& b = decision.spot_bids[i];
+    // The very first interval is assumed already bootstrapped (the
+    // framework had been running before the measured window opens).
+    auto startup_for = [&](int zone) {
+      return first_interval ? TimeDelta{0} : draw_startup(rng, zone);
+    };
+    for (const ZoneBid& b : plan.spot_launches) {
       const SpotTrace& trace = book.trace(b.zone, kind);
       Holding h;
       h.zone = b.zone;
       h.bid = b.bid;
-      h.spot = true;
       h.launch = decide_at;
-      // The very first interval is assumed already bootstrapped (the
-      // framework had been running before the measured window opens).
-      TimeDelta startup = (cfg.account_startup && !first_interval)
-                              ? draw_startup(rng, b.zone)
-                              : 0;
+      TimeDelta startup = startup_for(b.zone);
       h.ready = decide_at + startup;
-      ++result.instances_launched;
       if (obs::Registry* reg = obs::metrics()) {
         // Bidding-decision sim-latency: seconds from the decision to the
         // instance serving, integer-exact for deterministic shard merges.
@@ -208,47 +212,34 @@ ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
       if (trace.price_at(decide_at) > b.bid) {
         h.never_ran = true;
       } else {
-        h.oob = trace.first_exceed(decide_at, b.bid);
+        h.death = trace.first_exceed(decide_at, b.bid);
       }
       holdings.push_back(h);
     }
-    for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-      if (matched_od[i]) continue;
+    for (int zone : plan.on_demand_launches) {
       Holding h;
-      h.zone = decision.on_demand_zones[i];
+      h.zone = zone;
       h.spot = false;
       h.launch = decide_at;
-      TimeDelta startup = (cfg.account_startup && !first_interval)
-                              ? draw_startup(rng, h.zone)
-                              : 0;
-      h.ready = decide_at + startup;
-      ++result.instances_launched;
+      h.ready = decide_at + startup_for(zone);
       holdings.push_back(h);
     }
 
     // ---- availability accounting over [t, t_end) ----
-    int intended = decision.total_nodes();
-    if (intended > 0) {
-      int quorum = cfg.spec.quorum(intended);
-      std::vector<std::pair<SimTime, SimTime>> ups;
-      for (const Holding& h : holdings) {
-        if (h.never_ran) continue;
-        SimTime from = std::max(t, h.ready);
-        SimTime to = t_end;
-        if (h.spot && h.oob && *h.oob < to) {
-          to = *h.oob;
-          if (*h.oob >= t && *h.oob < t_end) ++result.out_of_bid_events;
-        }
-        if (from < to) ups.emplace_back(from, to);
-      }
-      result.downtime += quorum_downtime(ups, t, t_end, quorum);
-    } else {
-      result.downtime += t_end - t;
+    IntervalRecord rec;
+    rec.start = t;
+    rec.length = t_end - t;
+    rec.nodes = decision.total_nodes();
+    rec.launches = static_cast<int>(plan.spot_launches.size() +
+                                    plan.on_demand_launches.size());
+    for (const Holding& h : holdings) {
+      if (h.death && *h.death >= t && *h.death < t_end) ++rec.out_of_bid;
     }
-
-    rec.launches = result.instances_launched - launches_before;
-    rec.out_of_bid = result.out_of_bid_events - oob_before;
-    rec.downtime = result.downtime - downtime_before;
+    rec.downtime = window_downtime(views(holdings), t, t_end, rec.nodes,
+                                   cfg.spec);
+    result.instances_launched += rec.launches;
+    result.out_of_bid_events += rec.out_of_bid;
+    result.downtime += rec.downtime;
     result.timeline.push_back(rec);
 
     if (obs::Registry* reg = obs::metrics()) {
@@ -296,16 +287,7 @@ ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
 
   // ---- final settlement at replay end (user termination) ----
   for (const Holding& h : holdings) {
-    if (h.spot) {
-      if (!h.never_ran) {
-        result.cost += bill_spot_instance(book.trace(h.zone, kind), h.launch,
-                                          cfg.replay_end, h.bid)
-                           .charge;
-      }
-    } else {
-      result.cost += bill_on_demand(on_demand_price_zone(h.zone, kind),
-                                    h.launch, cfg.replay_end);
-    }
+    result.cost += bill_retired(h, book, kind, cfg.replay_end);
   }
 
   result.mean_nodes =

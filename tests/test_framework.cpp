@@ -1,4 +1,4 @@
-#include "core/framework.hpp"
+#include "replay/framework.hpp"
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ TEST_F(FrameworkFixture, LiveRunKeepsQuorumAndAccruesCost) {
   JupiterStrategy strategy(book, spec, SimTime(0), {.horizon_minutes = 60});
   RecordingAdapter adapter;
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700}, &adapter);
+                      {.interval = kHour}, &adapter);
   // Start after two weeks of price history so the model has data.
   SimTime start(2 * kWeek);
   fw.start(start);
@@ -56,7 +56,7 @@ TEST_F(FrameworkFixture, ExtraStrategyLiveRun) {
   CloudProvider provider(sim, book, 34);
   ExtraStrategy strategy(spec, 0, 0.2);
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   SimTime start(2 * kWeek);
   fw.start(start);
   sim.run_until(start + 6 * kHour);
@@ -70,7 +70,7 @@ TEST_F(FrameworkFixture, OnDemandBaselineIsAlwaysUpAfterBoot) {
   CloudProvider provider(sim, book, 35);
   OnDemandStrategy strategy(spec);
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   SimTime start(2 * kWeek);
   fw.start(start);
   sim.run_until(start + 6 * kHour);
@@ -87,7 +87,7 @@ TEST_F(FrameworkFixture, MembershipNotificationsTrackJoins) {
   OnDemandStrategy strategy(spec);
   RecordingAdapter adapter;
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700}, &adapter);
+                      {.interval = kHour}, &adapter);
   SimTime start(2 * kWeek);
   fw.start(start);
   sim.run_until(start + 2 * kHour);
@@ -105,7 +105,7 @@ TEST_F(FrameworkFixture, AvailabilityLedgerConsistent) {
   CloudProvider provider(sim, book, 37);
   JupiterStrategy strategy(book, spec, SimTime(0), {.horizon_minutes = 60});
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   SimTime start(2 * kWeek);
   fw.start(start);
   sim.run_until(start + 8 * kHour);

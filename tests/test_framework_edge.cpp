@@ -2,7 +2,7 @@
 // times, and cost monotonicity over time.
 #include <gtest/gtest.h>
 
-#include "core/framework.hpp"
+#include "replay/framework.hpp"
 
 namespace jupiter {
 namespace {
@@ -24,7 +24,7 @@ TEST(FrameworkEdge, StopTerminatesEverythingAndFreezesLedgers) {
   CloudProvider provider(sim, fx.book, 1);
   OnDemandStrategy strategy(fx.spec);
   BiddingFramework fw(sim, provider, fx.book, strategy, fx.spec, fx.zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   fw.start(SimTime(2 * kWeek));
   sim.run_until(SimTime(2 * kWeek) + 3 * kHour);
   ASSERT_GT(provider.live_instance_count(), 0u);
@@ -47,7 +47,7 @@ TEST(FrameworkEdge, SlaCrashesSurfaceAsBoundedDowntime) {
   CloudProvider provider(sim, fx.book, 2, sla);
   OnDemandStrategy strategy(fx.spec);
   BiddingFramework fw(sim, provider, fx.book, strategy, fx.spec, fx.zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   fw.start(SimTime(2 * kWeek));
   sim.run_until(SimTime(2 * kWeek) + 2 * kDay);
   // Single-node outages are tolerated (3 nodes, quorum 2); only overlapping
@@ -67,7 +67,7 @@ TEST(FrameworkEdge, CostGrowsMonotonically) {
   JupiterStrategy strategy(fx.book, fx.spec, SimTime(0),
                            {.horizon_minutes = 60});
   BiddingFramework fw(sim, provider, fx.book, strategy, fx.spec, fx.zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   fw.start(SimTime(2 * kWeek));
   Money prev;
   for (int h = 1; h <= 8; ++h) {
@@ -85,7 +85,7 @@ TEST(FrameworkEdge, RebidsCountMatchesIntervals) {
   CloudProvider provider(sim, fx.book, 4);
   OnDemandStrategy strategy(fx.spec);
   BiddingFramework fw(sim, provider, fx.book, strategy, fx.spec, fx.zones,
-                      {.interval = 2 * kHour, .lead_time = 700});
+                      {.interval = 2 * kHour});
   fw.start(SimTime(2 * kWeek));
   sim.run_until(SimTime(2 * kWeek) + 10 * kHour + kMinute);
   // Decisions at 0, 2h-lead? First at start, then one per boundary

@@ -3,7 +3,7 @@
 // -> Paxos-replicated lock service with clients, across out-of-bid churn.
 #include <gtest/gtest.h>
 
-#include "core/framework.hpp"
+#include "replay/framework.hpp"
 #include "lock/lock_service.hpp"
 #include "replay/sweep.hpp"
 #include "storage/kv_store.hpp"
@@ -65,7 +65,7 @@ TEST(Integration, LiveLockServiceOnSpotInstances) {
   CloudProvider provider(sim, book, 62);
   JupiterStrategy strategy(book, spec, SimTime(0), {.horizon_minutes = 60});
   BiddingFramework fw(sim, provider, book, strategy, spec, zones,
-                      {.interval = kHour, .lead_time = 700});
+                      {.interval = kHour});
   SimTime start(2 * kWeek);
   fw.start(start);
   sim.run_until(start + kHour);

@@ -118,12 +118,11 @@ TEST(ReplayEngine, RelaunchAfterPriceRecovers) {
 
   ScriptedStrategy strat({spot_decision({{0, PriceTick(150)}})});
   ReplayConfig cfg = config_for({0}, kHour, 2 * kHour);
-  cfg.account_startup = false;  // isolate the out-of-bid downtime
   ReplayResult r = replay_strategy(book, strat, cfg);
   EXPECT_EQ(r.instances_launched, 2);
   EXPECT_EQ(r.out_of_bid_events, 1);
   // Downtime only [1800, 3600): the replacement launched at 2900 is ready
-  // by the boundary (startup disabled) and joins at 3600.
+  // by the boundary (the lead time covers any startup) and joins at 3600.
   EXPECT_EQ(r.downtime, 30 * kMinute);
   // Replacement billing: launched 2900, runs to 7200: 4300 s -> 2 hours.
   EXPECT_EQ(r.cost, PriceTick(100).money() * 2);
@@ -192,7 +191,6 @@ TEST(ReplayEngine, StartupCountsWithinLaterIntervals) {
                           spot_decision({{0, PriceTick(151)}}),
                           spot_decision({{0, PriceTick(152)}})});
   ReplayConfig cfg = config_for({0}, kHour, 3 * kHour);
-  cfg.account_startup = true;
   ReplayResult r = replay_strategy(book, strat, cfg);
   EXPECT_EQ(r.downtime, 0);
   EXPECT_EQ(r.instances_launched, 3);
@@ -206,6 +204,83 @@ TEST(ReplayEngine, MeanNodesAveragesAcrossIntervals) {
   ReplayConfig cfg = config_for({0}, kHour, 3 * kHour);
   ReplayResult r = replay_strategy(book, strat, cfg);
   EXPECT_NEAR(r.mean_nodes, 2.0 / 3.0, 1e-12);
+}
+
+// ---- the shared keep rule (plan_keeps) ----
+
+Holding spot_holding(int zone, int bid) {
+  Holding h;
+  h.zone = zone;
+  h.bid = PriceTick(bid);
+  return h;
+}
+
+Holding od_holding(int zone) {
+  Holding h;
+  h.zone = zone;
+  h.spot = false;
+  return h;
+}
+
+TEST(KeepRule, DeadHoldingNamedAgainIsRelaunched) {
+  Holding dead = spot_holding(0, 150);
+  dead.death = SimTime(1800);
+  Holding never = spot_holding(1, 150);
+  never.never_ran = true;
+  StrategyDecision d = spot_decision({{0, PriceTick(150)}, {1, PriceTick(150)}});
+  KeepPlan plan = plan_keeps({&dead, &never}, d, SimTime(kHour));
+  EXPECT_EQ(plan.keep, (std::vector<char>{0, 0}));
+  EXPECT_EQ(plan.spot_launches, d.spot_bids);
+  // Alive at the decision instant, dead only later: kept.
+  plan = plan_keeps({&dead}, d, SimTime(1799));
+  EXPECT_EQ(plan.keep, (std::vector<char>{1}));
+  EXPECT_EQ(plan.spot_launches, (std::vector<ZoneBid>{{1, PriceTick(150)}}));
+}
+
+TEST(KeepRule, RepeatedSlotKeepsAtMostOneHoldingEach) {
+  Holding a = spot_holding(0, 150), b = spot_holding(0, 150);
+  // One slot, two matching holdings: the first is kept, the second retired.
+  KeepPlan plan =
+      plan_keeps({&a, &b}, spot_decision({{0, PriceTick(150)}}), SimTime(0));
+  EXPECT_EQ(plan.keep, (std::vector<char>{1, 0}));
+  EXPECT_TRUE(plan.spot_launches.empty());
+  // Two slots, one holding: it fills one slot, the other needs a launch.
+  plan = plan_keeps({&a},
+                    spot_decision({{0, PriceTick(150)}, {0, PriceTick(150)}}),
+                    SimTime(0));
+  EXPECT_EQ(plan.keep, (std::vector<char>{1}));
+  EXPECT_EQ(plan.spot_launches, (std::vector<ZoneBid>{{0, PriceTick(150)}}));
+}
+
+TEST(KeepRule, OnDemandMatchesByZoneAlone) {
+  Holding od = od_holding(2);
+  od.bid = PriceTick(999);  // ignored for on-demand
+  Holding spot = spot_holding(3, 150);
+  StrategyDecision d;
+  d.on_demand_zones = {3, 2};
+  KeepPlan plan = plan_keeps({&od, &spot}, d, SimTime(0));
+  // The on-demand holding fills the zone-2 slot; a spot holding never fills
+  // an on-demand slot, so zone 3 launches fresh.
+  EXPECT_EQ(plan.keep, (std::vector<char>{1, 0}));
+  EXPECT_EQ(plan.on_demand_launches, (std::vector<int>{3}));
+  EXPECT_TRUE(plan.spot_launches.empty());
+}
+
+TEST(KeepRule, RebidAtNewPriceRetiresAndLaunches) {
+  Holding h = spot_holding(0, 150);
+  KeepPlan plan =
+      plan_keeps({&h}, spot_decision({{0, PriceTick(160)}}), SimTime(0));
+  EXPECT_EQ(plan.keep, (std::vector<char>{0}));
+  EXPECT_EQ(plan.spot_launches, (std::vector<ZoneBid>{{0, PriceTick(160)}}));
+  // Through the replay: the re-bid costs one extra launch and no downtime.
+  TraceBook book = flat_book(100);
+  ScriptedStrategy strat({spot_decision({{0, PriceTick(150)}}),
+                          spot_decision({{0, PriceTick(160)}})});
+  ReplayResult r =
+      replay_strategy(book, strat, config_for({0}, kHour, 2 * kHour));
+  EXPECT_EQ(r.instances_launched, 2);
+  EXPECT_EQ(r.timeline[1].launches, 1);
+  EXPECT_EQ(r.downtime, 0);
 }
 
 }  // namespace
