@@ -19,9 +19,14 @@
 // path: reads served by the leaseholder from materialized state with no
 // log entry (lease_reads_served delta).
 //
-// Guardrail (enforced by exit code; ctest runs --smoke):
+// Guardrails (enforced by exit code; ctest runs --smoke):
 //   * data-plane committed ops/sim-second >= 10x the serial baseline, for
 //     classic AND RS-Paxos.
+//   * the pipelined RS-Paxos run encodes each coded proposal exactly once:
+//     Reed-Solomon encodes (ec.encode_bytes count in a metrics registry
+//     installed for that run) == data-plane flushes, every one of which
+//     proposes a coded value.  Accepts, retries and the chosen fan-out
+//     share the proposal's chunks.
 //
 // Run from the build directory:
 //   ./bench/bench_perf_paxos [--smoke] [out.json]
@@ -33,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "paxos/harness.hpp"
 #include "storage/kv_store.hpp"
 
@@ -90,6 +96,7 @@ struct RunStats {
   double wall_seconds = 0;
   std::uint64_t messages = 0;
   std::uint64_t value_bytes = 0;
+  std::int64_t proposals = 0;  // data-plane flushes, summed over replicas
 
   double ops_per_sim_sec() const {
     return sim_seconds > 0 ? static_cast<double>(committed) / sim_seconds : 0;
@@ -211,6 +218,9 @@ RunStats run_closed_loop(QuorumPolicy policy, std::size_t value_size,
   *lease_reads =
       (lead >= 0 ? cluster.group.replica(lead).lease_reads_served() : 0) - lr0;
   *lease_read_probes = probes;
+  for (NodeId id : cluster.group.node_ids()) {
+    r.proposals += cluster.group.replica(id).batches_proposed();
+  }
   return r;
 }
 
@@ -270,9 +280,20 @@ int main(int argc, char** argv) {
       run_closed_loop(QuorumPolicy{}, kClassicValue, horizon, 43,
                       &lease_reads_classic, &probes_classic);
   print_run("pipeline classic", dp_classic);
-  RunStats dp_rs = run_closed_loop(rs_policy(), kRsValue, horizon, 44,
-                                   &lease_reads_rs, &probes_rs);
+  obs::Registry rs_registry;
+  obs::ObsContext rs_ctx{&rs_registry};
+  RunStats dp_rs;
+  {
+    obs::ContextScope scope(&rs_ctx);
+    dp_rs = run_closed_loop(rs_policy(), kRsValue, horizon, 44,
+                            &lease_reads_rs, &probes_rs);
+  }
   print_run("pipeline RS-Paxos", dp_rs);
+  const std::uint64_t rs_encodes =
+      rs_registry.det_histogram("ec.encode_bytes").count();
+  const bool encode_ok =
+      dp_rs.proposals > 0 &&
+      rs_encodes == static_cast<std::uint64_t>(dp_rs.proposals);
 
   double speedup_classic =
       serial_classic.ops_per_sim_sec() > 0
@@ -283,10 +304,15 @@ int main(int argc, char** argv) {
                           : 0;
   bool classic_ok = speedup_classic >= 10.0;
   bool rs_ok = speedup_rs >= 10.0;
+  const bool pass = classic_ok && rs_ok && encode_ok;
   std::printf(
       "  speedup (ops/sim-s): classic %.1fx, RS-Paxos %.1fx (floor 10x) — "
       "%s\n",
       speedup_classic, speedup_rs, classic_ok && rs_ok ? "PASS" : "FAIL");
+  std::printf(
+      "  RS encodes: %llu for %lld coded proposals (must be equal) — %s\n",
+      static_cast<unsigned long long>(rs_encodes),
+      static_cast<long long>(dp_rs.proposals), encode_ok ? "PASS" : "FAIL");
   std::printf(
       "  lease fast path: classic %lld/%d gets served locally, RS-Paxos "
       "%lld/%d\n",
@@ -318,12 +344,16 @@ int main(int argc, char** argv) {
       "  \"lease_reads\": {\"classic_served\": %lld, \"rs_served\": %lld, "
       "\"probes\": %d},\n"
       "  \"speedup\": {\"classic\": %.3f, \"rs_paxos\": %.3f},\n"
-      "  \"guardrails\": {\"min_speedup\": 10.0, \"pass\": %s}\n"
+      "  \"rs_encodes\": {\"encodes\": %llu, \"coded_proposals\": %lld},\n"
+      "  \"guardrails\": {\"min_speedup\": 10.0, "
+      "\"one_encode_per_proposal\": %s, \"pass\": %s}\n"
       "}\n",
       static_cast<long long>(lease_reads_classic),
       static_cast<long long>(lease_reads_rs), probes_classic, speedup_classic,
-      speedup_rs, classic_ok && rs_ok ? "true" : "false");
+      speedup_rs, static_cast<unsigned long long>(rs_encodes),
+      static_cast<long long>(dp_rs.proposals), encode_ok ? "true" : "false",
+      pass ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return classic_ok && rs_ok ? 0 : 1;
+  return pass ? 0 : 1;
 }

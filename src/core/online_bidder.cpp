@@ -107,8 +107,10 @@ BidDecision OnlineBidder::fallback(
       best = d;
     }
   }
-  JLOG(kWarning) << "bidder fallback engaged: best achievable availability "
-                 << best.estimated_availability;
+  // Debug only: a fleet week falls back thousands of times.  run_fleet logs
+  // one summary line with the count instead.
+  JLOG(kDebug) << "bidder fallback engaged: best achievable availability "
+               << best.estimated_availability;
   if (obs::Registry* reg = obs::metrics()) {
     reg->counter("core.fallbacks").inc();
   }

@@ -99,6 +99,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
   }
 
   last_ = bidder_.decide(models, snapshot, spec_);
+  if (!last_.satisfies_constraint) ++fallbacks_;
 
   // Even on a full refresh, staying can beat moving once replacement costs
   // are considered; keep the held set when it is still valid and its

@@ -71,6 +71,11 @@ class JupiterStrategy : public BiddingStrategy {
   /// naive path.
   void set_incremental(bool on) { incremental_ = on; }
 
+  /// Decisions where no deployment met the availability target and the
+  /// bidder fell back to the most available one (the core.fallbacks count,
+  /// kept even when no metrics registry is installed).
+  std::int64_t fallbacks() const { return fallbacks_; }
+
   /// Transient-cache counters summed over the warm models.
   TransientCache::Stats cache_stats() const { return models_.cache_stats(); }
 
@@ -86,6 +91,7 @@ class JupiterStrategy : public BiddingStrategy {
   OobEstimator estimator_;
   BidDecision last_;
   int decisions_ = 0;
+  std::int64_t fallbacks_ = 0;
   FailureModelBook models_;
   bool warm_ = false;
   bool incremental_ = true;

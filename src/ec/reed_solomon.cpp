@@ -1,7 +1,6 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -57,6 +56,21 @@ void coded_muladd(const GFMatrix& mat, std::size_t row0,
   }
 }
 
+/// Systematic parity: rows [m, n) of `chunks` (zeroed, `len` bytes each)
+/// receive the coded combination of the data rows [0, m).
+void fill_parity(const GFMatrix& mat, std::size_t m, std::vector<Chunk>& chunks,
+                 std::size_t len) {
+  std::vector<const std::uint8_t*> src;
+  src.reserve(m);
+  for (std::size_t c = 0; c < m; ++c) src.push_back(chunks[c].data());
+  std::vector<std::uint8_t*> parity;
+  parity.reserve(chunks.size() - m);
+  for (std::size_t r = m; r < chunks.size(); ++r) {
+    parity.push_back(chunks[r].data());
+  }
+  coded_muladd(mat, m, src, parity, len);
+}
+
 }  // namespace
 
 ReedSolomon::ReedSolomon(int m, int n) : m_(m), n_(n) {
@@ -102,15 +116,13 @@ std::vector<Chunk> ReedSolomon::encode_chunks(
   for (const auto& c : data) {
     if (c.size() != len) throw std::invalid_argument("unequal chunk sizes");
   }
-  std::vector<Chunk> out(static_cast<std::size_t>(n_), Chunk(len, 0));
-  // Systematic: copy data rows, compute parity rows with the region kernels.
-  for (int i = 0; i < m_; ++i) out[static_cast<std::size_t>(i)] = data[static_cast<std::size_t>(i)];
-  std::vector<const std::uint8_t*> src(static_cast<std::size_t>(m_));
-  for (int c = 0; c < m_; ++c) src[static_cast<std::size_t>(c)] = data[static_cast<std::size_t>(c)].data();
-  std::vector<std::uint8_t*> parity;
-  parity.reserve(static_cast<std::size_t>(n_ - m_));
-  for (int r = m_; r < n_; ++r) parity.push_back(out[static_cast<std::size_t>(r)].data());
-  coded_muladd(matrix_, static_cast<std::size_t>(m_), src, parity, len);
+  // Systematic: the data rows verbatim, then zeroed parity rows that the
+  // region kernels fill.
+  std::vector<Chunk> out;
+  out.reserve(static_cast<std::size_t>(n_));
+  out.assign(data.begin(), data.end());
+  out.resize(static_cast<std::size_t>(n_), Chunk(len, 0));
+  fill_parity(matrix_, static_cast<std::size_t>(m_), out, len);
   return out;
 }
 
@@ -125,19 +137,23 @@ std::vector<Chunk> ReedSolomon::encode(
       (data.size() + static_cast<std::size_t>(m_) - 1) /
       static_cast<std::size_t>(m_);
   if (chunk_len == 0) chunk_len = 1;  // keep chunks non-empty
-  std::vector<Chunk> split(static_cast<std::size_t>(m_),
-                           Chunk(chunk_len, 0));
-  for (int c = 0; c < m_; ++c) {
-    const std::size_t lo =
-        std::min(static_cast<std::size_t>(c) * chunk_len, data.size());
-    const std::size_t hi =
-        std::min(lo + chunk_len, data.size());
-    if (hi > lo) {
-      std::memcpy(split[static_cast<std::size_t>(c)].data(), data.data() + lo,
-                  hi - lo);
-    }
+  // Data rows are written straight into the output chunks; only the tail of
+  // the last one is zero-padded.
+  std::vector<Chunk> out(static_cast<std::size_t>(n_));
+  for (std::size_t c = 0; c < static_cast<std::size_t>(m_); ++c) {
+    const std::size_t lo = std::min(c * chunk_len, data.size());
+    const std::size_t hi = std::min(lo + chunk_len, data.size());
+    Chunk& row = out[c];
+    row.reserve(chunk_len);
+    row.assign(data.begin() + static_cast<std::ptrdiff_t>(lo),
+               data.begin() + static_cast<std::ptrdiff_t>(hi));
+    row.resize(chunk_len, 0);
   }
-  return encode_chunks(split);
+  for (std::size_t r = static_cast<std::size_t>(m_); r < out.size(); ++r) {
+    out[r].assign(chunk_len, 0);
+  }
+  fill_parity(matrix_, static_cast<std::size_t>(m_), out, chunk_len);
+  return out;
 }
 
 const GFMatrix* ReedSolomon::decode_matrix_for(

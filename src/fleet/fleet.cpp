@@ -759,6 +759,18 @@ FleetReport run_fleet(const FleetOptions& opts,
                                      rows.begin(), rows.end());
     }
     report.events_dispatched += cl->events_dispatched();
+    for (const ServiceState& s : cl->services()) {
+      if (s.is_jupiter) {
+        report.bidder_fallbacks +=
+            static_cast<const JupiterStrategy*>(s.strategy.get())->fallbacks();
+      }
+    }
+  }
+  if (report.bidder_fallbacks > 0) {
+    // One line per run: each fallback decision logs at debug level only.
+    JLOG(kWarning) << "bidder fallback engaged in " << report.bidder_fallbacks
+                   << " Jupiter decisions (best achievable availability "
+                      "below target)";
   }
   if (opts.collect_telemetry) {
     report.telemetry.metrics = obs::MetricsSnapshot::merge(shard_parts);

@@ -206,6 +206,9 @@ struct FleetReport {
   std::vector<InstanceRecord> instances;  ///< when kept
   FleetTelemetry telemetry;               ///< when options.collect_telemetry
   std::uint64_t events_dispatched = 0;    ///< summed over cluster simulators
+  /// Jupiter decisions that fell back to the most available deployment
+  /// because none met the target (not folded into the fingerprint).
+  std::int64_t bidder_fallbacks = 0;
 
   Money total_cost() const;
   TimeDelta total_downtime() const;

@@ -89,7 +89,9 @@ class SimNetwork {
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
   /// Sends msg to `to` (delivered via the simulator after a latency draw).
-  void send(NodeId to, const Message& msg);
+  /// Taken by value and moved into the in-flight event, so a caller that
+  /// passes an rvalue pays no copy; only fault-hook duplicates copy.
+  void send(NodeId to, Message msg);
 
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_delivered() const { return delivered_; }

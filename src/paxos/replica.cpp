@@ -1,6 +1,7 @@
 #include "paxos/replica.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/log.hpp"
@@ -15,6 +16,20 @@ std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t x) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// Chunk `index` of an n-way coded proposal, as the value its acceptor
+/// stores: value_id ties it to its siblings, full_size trims the padding.
+Value chunk_value(const Value& full, int index, int n, Chunk bytes) {
+  Value v;
+  v.kind = full.kind;
+  v.value_id = full.value_id;
+  v.coded = true;
+  v.chunk_index = index;
+  v.full_size = static_cast<std::uint32_t>(full.payload.size());
+  v.rs_n = n;
+  v.payload = std::move(bytes);
+  return v;
 }
 }  // namespace
 
@@ -192,7 +207,7 @@ void Replica::on_prepare(const Message& m) {
       if (!st.acc.has_value) continue;
       r.promises.push_back(PromiseInfo{slot, st.acc.accepted, st.acc.value});
     }
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
   } else {
     Message r;
     r.type = MsgType::kPrepareNack;
@@ -357,19 +372,21 @@ void Replica::become_leader() {
 
 // ---------------------------------------------------------------- phase 2
 
-Value Replica::make_chunk_value(const Value& full, int chunk_index) const {
-  int n = static_cast<int>(config_.size());
-  const ReedSolomon& rs = ReedSolomon::shared(opts_.policy.rs_m, n);
-  auto chunks = rs.encode(full.payload);
-  Value v;
-  v.kind = full.kind;
-  v.value_id = full.value_id;
-  v.coded = true;
-  v.chunk_index = chunk_index;
-  v.full_size = static_cast<std::uint32_t>(full.payload.size());
-  v.rs_n = n;
-  v.payload = std::move(chunks[static_cast<std::size_t>(chunk_index)]);
-  return v;
+bool Replica::coded_value(const Value& v) const {
+  return opts_.policy.coded() &&
+         (v.kind == ValueKind::kCommand || v.kind == ValueKind::kBatch);
+}
+
+std::vector<Chunk> Replica::encode_value(const Value& full, int n) const {
+  return ReedSolomon::shared(opts_.policy.rs_m, n).encode(full.payload);
+}
+
+std::vector<Chunk>& Replica::chunk_set(SlotState& st) {
+  const int n = static_cast<int>(config_.size());
+  if (static_cast<int>(st.chunks.size()) != n) {
+    st.chunks = encode_value(st.proposal_full, n);
+  }
+  return st.chunks;
 }
 
 std::optional<Value> Replica::reconstruct_from_chunks(
@@ -397,6 +414,7 @@ void Replica::propose(Slot slot, Value full_value, Callback cb,
   SlotState& st = slot_state(slot);
   st.proposing = true;
   st.proposal_full = std::move(full_value);
+  st.chunks.clear();  // a chunk set belongs to the proposal it encodes
   st.accepted_from.clear();
   if (trace_id != 0) st.trace_id = trace_id;
   if (cb) {
@@ -408,9 +426,9 @@ void Replica::propose(Slot slot, Value full_value, Callback cb,
 
 void Replica::send_accepts(Slot slot) {
   SlotState& st = slot_state(slot);
-  bool code_it = opts_.policy.coded() &&
-                 (st.proposal_full.kind == ValueKind::kCommand ||
-                  st.proposal_full.kind == ValueKind::kBatch);
+  // The first call (from propose) encodes; retries reuse the same chunks.
+  const std::vector<Chunk>* chunks =
+      coded_value(st.proposal_full) ? &chunk_set(st) : nullptr;
   for (std::size_t i = 0; i < config_.size(); ++i) {
     Message m;
     m.type = MsgType::kAccept;
@@ -418,9 +436,11 @@ void Replica::send_accepts(Slot slot) {
     m.ballot = ballot_;
     m.slot = slot;
     m.trace_id = st.trace_id;
-    m.value = code_it ? make_chunk_value(st.proposal_full, static_cast<int>(i))
-                      : st.proposal_full;
-    net_.send(config_[i], m);
+    m.value = chunks ? chunk_value(st.proposal_full, static_cast<int>(i),
+                                   static_cast<int>(chunks->size()),
+                                   (*chunks)[i])
+                     : st.proposal_full;
+    net_.send(config_[i], std::move(m));
   }
 }
 
@@ -463,23 +483,33 @@ void Replica::on_accepted(const Message& m) {
   if (static_cast<int>(st.accepted_from.size()) < quorum()) return;
 
   // Decided.  Tell everyone; RS-Paxos followers get their chunk again so a
-  // node that missed the accept still ends up holding its share.
-  bool coded = opts_.policy.coded() &&
-               (st.proposal_full.kind == ValueKind::kCommand ||
-                st.proposal_full.kind == ValueKind::kBatch);
+  // node that missed the accept still ends up holding its share.  This is
+  // the chunk set's last use: it leaves the slot here and each chunk moves
+  // into its message.
+  std::vector<Chunk> chunks;
+  if (coded_value(st.proposal_full)) chunks = std::exchange(chunk_set(st), {});
   for (std::size_t i = 0; i < config_.size(); ++i) {
+    if (!chunks.empty() && chunks.size() != config_.size()) {
+      // Our own decide below applied a config entry mid-loop: the rest of
+      // the fan-out codes for the new member count.
+      chunks =
+          encode_value(st.proposal_full, static_cast<int>(config_.size()));
+    }
     Message c;
     c.type = MsgType::kChosen;
     c.from = id_;
     c.ballot = ballot_;
     c.slot = m.slot;
     c.trace_id = st.trace_id;
-    c.value = coded ? make_chunk_value(st.proposal_full, static_cast<int>(i))
-                    : st.proposal_full;
+    c.value = chunks.empty()
+                  ? st.proposal_full
+                  : chunk_value(st.proposal_full, static_cast<int>(i),
+                                static_cast<int>(chunks.size()),
+                                std::move(chunks[i]));
     if (config_[i] == id_) {
-      decide(m.slot, c.value, &st.proposal_full);
+      decide(m.slot, std::move(c.value));
     } else {
-      net_.send(config_[i], c);
+      net_.send(config_[i], std::move(c));
     }
   }
 }
@@ -504,13 +534,11 @@ void Replica::on_chosen(const Message& m) {
   apply_ready();
 }
 
-void Replica::decide(Slot slot, const Value& own_value,
-                     const Value* full_value) {
+void Replica::decide(Slot slot, Value own_value) {
   SlotState& st = slot_state(slot);
   if (!st.chosen) {
     st.chosen = true;
-    st.chosen_val = own_value;
-    if (full_value) st.proposal_full = *full_value;
+    st.chosen_val = std::move(own_value);
     note_commit_lag(slot);
   }
   apply_ready();
@@ -663,6 +691,7 @@ void Replica::apply_ready() {
         batch_acks_.erase(ba);
       }
     }
+    st.chunks.clear();  // decided by another leader while we proposed it
     ++commit_index_;
   }
   // Commits free pipeline slots: push queued ops into the window.
@@ -714,7 +743,11 @@ void Replica::on_catchup(const Message& m) {
                      st.proposal_full.value_id == st.chosen_val.value_id &&
                      (!payload_kind || !st.proposal_full.payload.empty());
     if (have_full && payload_kind && chunk_index >= 0) {
-      return make_chunk_value(st.proposal_full, chunk_index);
+      // The slot's chunk set was released at decide: encode afresh.
+      const int n = static_cast<int>(config_.size());
+      const auto idx = static_cast<std::size_t>(chunk_index);
+      return chunk_value(st.proposal_full, chunk_index, n,
+                         std::move(encode_value(st.proposal_full, n)[idx]));
     }
     if (have_full) return st.proposal_full;
     // Only our own chunk survives here; better than nothing — the
@@ -761,7 +794,7 @@ void Replica::on_catchup(const Message& m) {
     c.ballot = ballot_;
     c.slot = s;
     c.value = value_for(it->second);
-    net_.send(m.from, c);
+    net_.send(m.from, std::move(c));
   }
 }
 
@@ -1036,6 +1069,11 @@ const Value* Replica::chosen_value(Slot s) const {
   auto it = log_.find(s);
   if (it == log_.end() || !it->second.chosen) return nullptr;
   return &it->second.chosen_val;
+}
+
+bool Replica::holds_chunk_set(Slot s) const {
+  auto it = log_.find(s);
+  return it != log_.end() && !it->second.chunks.empty();
 }
 
 void Replica::install_snapshot(

@@ -171,6 +171,9 @@ class Replica {
 
   /// Chosen value at a slot, if known (tests, snapshot transfer).
   const Value* chosen_value(Slot s) const;
+  /// True while this node holds an RS-Paxos chunk set for the slot (tests:
+  /// sets are released at decide, so none survives below commit_index()).
+  bool holds_chunk_set(Slot s) const;
   /// Installs a snapshot of chosen entries (bootstrap of a fresh node).
   void install_snapshot(const std::vector<std::pair<Slot, Value>>& entries,
                         const std::vector<NodeId>& config);
@@ -203,6 +206,14 @@ class Replica {
     std::vector<NodeId> accepted_from;
     bool proposing = false;
     Value proposal_full;          // full value being proposed (leader)
+    // RS-Paxos chunk set (leader only): the n Reed-Solomon chunks of
+    // proposal_full, encoded once per proposal (propose() drops the previous
+    // proposal's set; a config change re-encodes for the new n).  Every
+    // accept, retry resend and chosen message reads it, so none of them
+    // re-encodes.  The chosen fan-out moves the chunks into its messages and
+    // drops the set; apply_ready() drops any set still held by a slot
+    // another leader decided.
+    std::vector<Chunk> chunks;
     // value_id of the client command whose callback waits on this slot
     // (0: none).  The callback reports success only if this exact value is
     // chosen here — a competing leader's value winning the slot means the
@@ -236,7 +247,7 @@ class Replica {
   void propose(Slot slot, Value full_value, Callback cb,
                std::uint64_t trace_id = 0);
   void send_accepts(Slot slot);
-  void decide(Slot slot, const Value& own_value, const Value* full_value);
+  void decide(Slot slot, Value own_value);
   void note_commit_lag(Slot slot);
   void apply_ready();
   void broadcast(Message m);
@@ -248,7 +259,13 @@ class Replica {
     return opts_.policy.quorum(static_cast<int>(config_.size()));
   }
   bool in_config(NodeId n) const;
-  Value make_chunk_value(const Value& full, int chunk_index) const;
+  /// True when `v` is RS-coded under this replica's policy (commands and
+  /// batches; noops and configs always travel whole).
+  bool coded_value(const Value& v) const;
+  /// All n Reed-Solomon chunks of a full value — the one encode call.
+  std::vector<Chunk> encode_value(const Value& full, int n) const;
+  /// The slot's chunk set for the current config size, encoded on first use.
+  std::vector<Chunk>& chunk_set(SlotState& st);
   std::optional<Value> reconstruct_from_chunks(
       const std::vector<Value>& chunks) const;
   std::uint64_t fresh_value_id();

@@ -14,6 +14,7 @@
 #include "cloud/trace_book.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/supply_curve.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -160,6 +161,39 @@ TEST(FleetMarket, FingerprintStableAcrossThreadCounts) {
   EXPECT_EQ(r1.metrics_csv(), rh.metrics_csv());
   std::string why;
   EXPECT_TRUE(r1.internally_consistent(&why)) << why;
+}
+
+TEST(FleetMarket, BidderFallbacksLogOneSummaryLine) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarning);
+  FleetOptions opts;
+  opts.services = 8;
+  opts.clusters = 2;
+  opts.horizon = kDay;
+  opts.history = kWeek;
+  opts.seed = 4242;
+  // A negative slack puts the target above 1, so every full Jupiter
+  // decision falls back to the most available deployment.
+  std::vector<ServiceConfig> configs = make_fleet_services(opts);
+  for (ServiceConfig& c : configs) c.strategy.spec.epsilon = -0.01;
+  ThreadPool pool(2);
+  ::testing::internal::CaptureStderr();
+  FleetReport r = run_fleet(opts, configs, &pool);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  set_log_level(saved);
+  // Each fallback decision logs at debug level; the run logs one WARN
+  // with the total.
+  ASSERT_GT(r.bidder_fallbacks, 1);
+  std::size_t lines = 0;
+  for (std::size_t at = err.find("bidder fallback engaged");
+       at != std::string::npos;
+       at = err.find("bidder fallback engaged", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << err;
+  EXPECT_NE(err.find(std::to_string(r.bidder_fallbacks) + " Jupiter decisions"),
+            std::string::npos)
+      << err;
 }
 
 // ---- golden determinism corpus ---------------------------------------------

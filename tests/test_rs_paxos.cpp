@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "ec/reed_solomon.hpp"
+#include "obs/obs.hpp"
 #include "paxos/group.hpp"
 #include "storage/kv_store.hpp"
 
@@ -22,10 +24,19 @@ Replica::Options rs_options() {
   return opts;
 }
 
+/// RS-Paxos with the batched, pipelined data plane (the storage service's
+/// configuration in the throughput bench and perfbench).
+Replica::Options rs_data_plane_options() {
+  Replica::Options opts = rs_options();
+  opts.plane.pipeline = true;
+  opts.plane.batching = true;
+  return opts;
+}
+
 struct RsPaxosFixture : ::testing::Test {
-  RsPaxosFixture()
+  explicit RsPaxosFixture(Replica::Options opts = rs_options())
       : net(sim, 31),
-        group(sim, net, rs_options(),
+        group(sim, net, opts,
               [this](NodeId id) {
                 auto sm = std::make_unique<KvStoreState>();
                 sms[id] = sm.get();
@@ -180,6 +191,138 @@ TEST_F(RsPaxosFixture, LeaderFailoverRecoversCodedValue) {
   EXPECT_EQ(std::string(v->begin(), v->end()), "precious");
   // And the store keeps accepting writes.
   EXPECT_TRUE(put("k2", "after-failover"));
+}
+
+// ---- encode once per proposal ---------------------------------------------
+//
+// The leader encodes each coded proposal once and keeps the n chunks in the
+// slot until it decides; accepts, retry resends and the chosen fan-out all
+// read that set.  Encodes are counted through the ec.encode_bytes histogram
+// of an installed metrics registry.
+
+struct RsPaxosEncodeOnce : RsPaxosFixture {
+  RsPaxosEncodeOnce()
+      : RsPaxosFixture(rs_data_plane_options()), scope(&ctx) {}
+
+  std::uint64_t encodes() {
+    return registry.det_histogram("ec.encode_bytes").count();
+  }
+  /// Every data-plane flush proposes one coded value (kCommand or kBatch).
+  std::int64_t coded_proposals() {
+    std::int64_t n = 0;
+    for (NodeId id : group.node_ids()) {
+      n += group.replica(id).batches_proposed();
+    }
+    return n;
+  }
+  /// Submits `count` puts at one instant so the leader coalesces them;
+  /// returns the commands in submission order.
+  std::vector<std::vector<std::uint8_t>> put_wave(int wave, int count,
+                                                  int* acked) {
+    KvClient client(group);
+    std::vector<std::vector<std::uint8_t>> cmds;
+    for (int i = 0; i < count; ++i) {
+      KvCommand c;
+      c.op = KvOp::kPut;
+      c.key = "w" + std::to_string(wave) + "-" + std::to_string(i);
+      c.value.assign(1500 + 7 * static_cast<std::size_t>(i),
+                     static_cast<std::uint8_t>(i));
+      cmds.push_back(c.encode());
+      client.put(c.key, c.value, [acked](KvResponse r) {
+        if (r.status == KvStatus::kOk) ++*acked;
+      });
+    }
+    sim.run_until(sim.now() + 200);
+    return cmds;
+  }
+  /// No replica keeps a chunk set for a slot it has already applied.
+  void expect_no_chunk_set_below_commit() {
+    for (NodeId id : group.node_ids()) {
+      const Replica& r = group.replica(id);
+      for (Slot s = 0; s < r.commit_index(); ++s) {
+        EXPECT_FALSE(r.holds_chunk_set(s)) << "node " << id << " slot " << s;
+      }
+    }
+  }
+
+  obs::Registry registry;
+  obs::ObsContext ctx{&registry};
+  obs::ContextScope scope;
+};
+
+TEST_F(RsPaxosEncodeOnce, EncodesEqualCodedProposals) {
+  bootstrap();
+  ASSERT_GE(wait_for_leader(), 0);
+  ASSERT_EQ(encodes(), 0u);  // the election proposes nothing coded
+  int acked = 0;
+  for (int wave = 0; wave < 3; ++wave) put_wave(wave, 8, &acked);
+  EXPECT_EQ(acked, 24);
+  std::int64_t ops = 0;
+  for (NodeId id : group.node_ids()) ops += group.replica(id).batched_ops();
+  ASSERT_GT(coded_proposals(), 0);
+  EXPECT_LT(coded_proposals(), ops);  // waves really were batched
+  EXPECT_EQ(encodes(), static_cast<std::uint64_t>(coded_proposals()));
+  expect_no_chunk_set_below_commit();
+}
+
+TEST_F(RsPaxosEncodeOnce, RetryResendsWithoutEncoding) {
+  bootstrap();
+  NodeId lead = wait_for_leader();
+  ASSERT_GE(lead, 0);
+  // Drop the first coded accept to two followers: the leader's own accept
+  // and the other two make three, below the quorum of four, so the slot
+  // decides only after arm_retry resends the accepts.
+  int coded_accepts = 0;
+  int dropped = 0;
+  net.set_fault_hook([&](NodeId, NodeId to, const Message& m) {
+    SimNetwork::FaultAction act;
+    if (m.type == MsgType::kAccept && m.value.coded) {
+      ++coded_accepts;
+      if (to != lead && dropped < 2) {
+        ++dropped;
+        act.drop = true;
+      }
+    }
+    return act;
+  });
+  ASSERT_TRUE(put("k", std::string(5000, 'r')));
+  EXPECT_EQ(dropped, 2);
+  EXPECT_GE(coded_accepts, 10);  // the first round and at least one resend
+  EXPECT_EQ(coded_proposals(), 1);
+  EXPECT_EQ(encodes(), 1u);
+  expect_no_chunk_set_below_commit();
+}
+
+TEST_F(RsPaxosEncodeOnce, ChosenChunksMatchOneEncodeOfTheBatch) {
+  bootstrap();
+  NodeId lead = wait_for_leader();
+  ASSERT_GE(lead, 0);
+  int acked = 0;
+  auto cmds = put_wave(0, 6, &acked);
+  ASSERT_EQ(acked, 6);
+  ASSERT_EQ(coded_proposals(), 1);  // one instant, one batch
+  const std::vector<std::uint8_t> full = encode_batch(cmds);
+  const std::vector<Chunk> expected = ReedSolomon::shared(3, 5).encode(full);
+  const Replica& leader = group.replica(lead);
+  Slot slot = -1;
+  for (Slot s = 0; s < leader.commit_index(); ++s) {
+    const Value* v = leader.chosen_value(s);
+    if (v != nullptr && v->kind == ValueKind::kBatch) slot = s;
+  }
+  ASSERT_GE(slot, 0);
+  std::vector<NodeId> ids = group.node_ids();  // sorted: chunk i -> ids[i]
+  ASSERT_EQ(ids.size(), expected.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Value* v = group.replica(ids[i]).chosen_value(slot);
+    ASSERT_NE(v, nullptr) << "node " << ids[i];
+    EXPECT_TRUE(v->coded);
+    EXPECT_EQ(v->chunk_index, static_cast<int>(i));
+    EXPECT_EQ(v->rs_n, 5);
+    EXPECT_EQ(v->full_size, full.size());
+    EXPECT_EQ(v->payload, expected[i]) << "node " << ids[i];
+  }
+  EXPECT_EQ(encodes(), 2u);  // the proposal's, plus this test's own
+  expect_no_chunk_set_below_commit();
 }
 
 }  // namespace
