@@ -36,7 +36,7 @@ class MemorylessJupiter : public BiddingStrategy {
     std::vector<int> zones;
     for (const auto& st : snapshot) zones.push_back(st.zone);
     FailureModelBook models = FailureModelBook::train(
-        book_, spec_.kind, zones, history_start_, now, spec_.baseline_fp);
+        book_, spec_.kind, zones, history_start_, now);
     FailureModelBook mem;
     for (int z : zones) mem.set(z, models.model(z).memoryless());
     BidDecision d = bidder_.decide(mem, snapshot, spec_);

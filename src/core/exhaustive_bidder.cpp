@@ -88,7 +88,8 @@ std::optional<BidDecision> exhaustive_decide(const FailureModelBook& models,
   for (const auto& st : snapshot) {
     if (!models.has(st.zone)) continue;
     const ZoneFailureModel& model = models.model(st.zone);
-    BidCurve curve = model.bid_curve(st, opts.horizon_minutes);
+    BidCurve curve =
+        model.bid_curve(st, opts.horizon_minutes, FpQuery{spec.baseline_fp});
     // The loop below probes every candidate threshold; fill the whole
     // first-passage curve with one batched transient analysis up front.
     curve.prime_all();

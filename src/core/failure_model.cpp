@@ -5,29 +5,43 @@
 
 namespace jupiter {
 
-ZoneFailureModel::ZoneFailureModel(SemiMarkovChain chain, PriceTick on_demand,
-                                   double fp_prime, OobEstimator est)
-    : chain_(std::move(chain)),
-      on_demand_(on_demand),
-      fp_prime_(fp_prime),
-      estimator_(est),
-      cache_(std::make_shared<TransientCache>()) {
+namespace {
+
+void check_fp_prime(double fp_prime) {
   if (fp_prime < 0 || fp_prime >= 1) throw std::invalid_argument("bad FP'");
 }
+
+/// Eq. 4: an instance fails if the underlying host fails (FP') or the
+/// price goes out of bid.
+double compose(double fp_prime, double out_of_bid) {
+  return 1.0 - (1.0 - fp_prime) * (1.0 - out_of_bid);
+}
+
+/// The (zone, model) entry for `zone` in a zone-sorted book, or where it
+/// would go.
+template <typename Models>
+auto find_zone(Models& models, int zone) {
+  return std::lower_bound(
+      models.begin(), models.end(), zone,
+      [](const auto& kv, int z) { return kv.first < z; });
+}
+
+}  // namespace
+
+ZoneFailureModel::ZoneFailureModel(SemiMarkovChain chain, PriceTick on_demand)
+    : chain_(std::move(chain)),
+      on_demand_(on_demand),
+      cache_(std::make_shared<TransientCache>()) {}
 
 ZoneFailureModel::ZoneFailureModel(const ZoneFailureModel& o)
     : chain_(o.chain_),
       on_demand_(o.on_demand_),
-      fp_prime_(o.fp_prime_),
-      estimator_(o.estimator_),
       cache_(std::make_shared<TransientCache>()) {}
 
 ZoneFailureModel& ZoneFailureModel::operator=(const ZoneFailureModel& o) {
   if (this == &o) return *this;
   chain_ = o.chain_;
   on_demand_ = o.on_demand_;
-  fp_prime_ = o.fp_prime_;
-  estimator_ = o.estimator_;
   cache_ = std::make_shared<TransientCache>();
   return *this;
 }
@@ -40,19 +54,18 @@ bool ZoneFailureModel::extend(const SpotTrace& history, SimTime from,
 }
 
 ZoneFailureModel ZoneFailureModel::train(const SpotTrace& history,
-                                         PriceTick on_demand, double fp_prime,
-                                         OobEstimator est) {
+                                         PriceTick on_demand) {
   if (history.empty()) throw std::invalid_argument("empty training trace");
-  return ZoneFailureModel(SemiMarkovChain::estimate(history), on_demand,
-                          fp_prime, est);
+  return ZoneFailureModel(SemiMarkovChain::estimate(history), on_demand);
 }
 
 double ZoneFailureModel::out_of_bid_probability(const MarketZoneState& st,
                                                 int horizon_minutes,
-                                                PriceTick bid) const {
+                                                PriceTick bid,
+                                                OobEstimator est) const {
   if (bid < st.price) return 1.0;  // would not even launch
   int state = chain_.nearest_state(st.price);
-  if (estimator_ == OobEstimator::kFirstPassage) {
+  if (est == OobEstimator::kFirstPassage) {
     return chain_.hit_probability(state, st.age_minutes, horizon_minutes, bid);
   }
   return chain_.exceed_probability(state, st.age_minutes, horizon_minutes,
@@ -60,8 +73,9 @@ double ZoneFailureModel::out_of_bid_probability(const MarketZoneState& st,
 }
 
 double ZoneFailureModel::estimate_fp(const MarketZoneState& st,
-                                     int horizon_minutes,
-                                     PriceTick bid) const {
+                                     int horizon_minutes, PriceTick bid,
+                                     FpQuery q) const {
+  check_fp_prime(q.fp_prime);
   // Eq. 14: FP = 1 for b <= p (the paper's strict inequality corresponds to
   // its "price exceeds bid" launch rule; ours launches at equality, so only
   // bids strictly below the price are hopeless a priori — but an equal bid
@@ -70,19 +84,22 @@ double ZoneFailureModel::estimate_fp(const MarketZoneState& st,
   // Forced below on-demand (§4.2); honor the stricter of the model's cap
   // and the snapshot's.
   if (bid >= std::min(on_demand_, st.on_demand)) return 1.0;
-  return compose(out_of_bid_probability(st, horizon_minutes, bid));
+  return compose(q.fp_prime, out_of_bid_probability(st, horizon_minutes, bid,
+                                                    q.estimator));
 }
 
 std::optional<PriceTick> ZoneFailureModel::min_bid_for_fp(
-    const MarketZoneState& st, int horizon_minutes, double fp_target) const {
-  return bid_curve(st, horizon_minutes).min_bid_for_fp(fp_target);
+    const MarketZoneState& st, int horizon_minutes, double fp_target,
+    FpQuery q) const {
+  return bid_curve(st, horizon_minutes, q).min_bid_for_fp(fp_target);
 }
 
 double ZoneFailureModel::best_achievable_fp(const MarketZoneState& st,
-                                            int horizon_minutes) const {
+                                            int horizon_minutes,
+                                            FpQuery q) const {
   PriceTick cap = st.on_demand - 1;
   if (cap < st.price) return 1.0;
-  return estimate_fp(st, horizon_minutes, cap);
+  return estimate_fp(st, horizon_minutes, cap, q);
 }
 
 BidCurve::BidCurve(const SemiMarkovChain* chain, int state, int age,
@@ -100,6 +117,7 @@ BidCurve::BidCurve(const SemiMarkovChain* chain, int state, int age,
       estimator_(estimator),
       stats_(std::move(cache)),
       memo_(std::move(memo)) {
+  check_fp_prime(fp_prime_);
   if (!memo_) {
     cache_.assign(static_cast<std::size_t>(chain->state_count()), 0.0);
     known_.assign(static_cast<std::size_t>(chain->state_count()), 0);
@@ -192,7 +210,7 @@ double BidCurve::fp_at(PriceTick bid) const {
   int idx = static_cast<int>(it - ps.begin()) - 1;
   // Bid below every known state: everything the chain can visit exceeds it.
   double oob = idx < 0 ? 1.0 : oob_at_index(idx);
-  return 1.0 - (1.0 - fp_prime_) * (1.0 - oob);
+  return compose(fp_prime_, oob);
 }
 
 std::optional<PriceTick> BidCurve::min_bid_for_fp(double fp_target) const {
@@ -228,19 +246,22 @@ double BidCurve::best_achievable_fp() const {
 }
 
 BidCurve ZoneFailureModel::bid_curve(const MarketZoneState& st,
-                                     int horizon_minutes) const {
+                                     int horizon_minutes, FpQuery q) const {
   int state = chain_.nearest_state(st.price);
   int age = chain_.clamped_age(state, st.age_minutes);
   auto memo = cache_->entry(state, age, horizon_minutes, chain_.state_count());
   return BidCurve(&chain_, state, st.age_minutes, horizon_minutes, st.price,
-                  std::min(on_demand_, st.on_demand), fp_prime_, estimator_,
+                  std::min(on_demand_, st.on_demand), q.fp_prime, q.estimator,
                   cache_, std::move(memo));
 }
 
+FailureModelBook::FailureModelBook(const TraceBook& traces, InstanceKind kind,
+                                   SimTime history_start)
+    : traces_(&traces), kind_(kind), history_start_(history_start) {}
+
 void FailureModelBook::set(int zone, ZoneFailureModel model) {
-  auto it = std::lower_bound(
-      models_.begin(), models_.end(), zone,
-      [](const auto& kv, int z) { return kv.first < z; });
+  audit_.write("FailureModelBook::set");
+  auto it = find_zone(models_, zone);
   if (it != models_.end() && it->first == zone) {
     it->second = std::move(model);
   } else {
@@ -249,16 +270,12 @@ void FailureModelBook::set(int zone, ZoneFailureModel model) {
 }
 
 bool FailureModelBook::has(int zone) const {
-  auto it = std::lower_bound(
-      models_.begin(), models_.end(), zone,
-      [](const auto& kv, int z) { return kv.first < z; });
+  auto it = find_zone(models_, zone);
   return it != models_.end() && it->first == zone;
 }
 
 const ZoneFailureModel& FailureModelBook::model(int zone) const {
-  auto it = std::lower_bound(
-      models_.begin(), models_.end(), zone,
-      [](const auto& kv, int z) { return kv.first < z; });
+  auto it = find_zone(models_, zone);
   if (it == models_.end() || it->first != zone) {
     throw std::out_of_range("no model for zone");
   }
@@ -268,36 +285,38 @@ const ZoneFailureModel& FailureModelBook::model(int zone) const {
 FailureModelBook FailureModelBook::train(const TraceBook& book,
                                          InstanceKind kind,
                                          const std::vector<int>& zones,
-                                         SimTime from, SimTime to,
-                                         double fp_prime, OobEstimator est) {
-  FailureModelBook out;
-  for (int zone : zones) {
-    SpotTrace slice = book.trace(zone, kind).slice(from, to);
-    PriceTick od = PriceTick::from_money(on_demand_price_zone(zone, kind));
-    out.set(zone, ZoneFailureModel::train(slice, od, fp_prime, est));
-  }
+                                         SimTime from, SimTime to) {
+  FailureModelBook out(book, kind, from);
+  out.advance_to(zones, to);
   return out;
 }
 
-void FailureModelBook::extend(const TraceBook& book, InstanceKind kind,
-                              const std::vector<int>& zones,
-                              SimTime history_start, SimTime from, SimTime to,
-                              double fp_prime, OobEstimator est) {
+void FailureModelBook::advance_to(const std::vector<int>& zones,
+                                  SimTime now) {
+  if (traces_ == nullptr) {
+    throw std::logic_error("advance_to() needs a book built on a TraceBook");
+  }
+  audit_.write("FailureModelBook::advance_to");
   for (int zone : zones) {
-    if (has(zone)) {
-      auto it = std::lower_bound(
-          models_.begin(), models_.end(), zone,
-          [](const auto& kv, int z) { return kv.first < z; });
+    const SpotTrace& trace = traces_->trace(zone, kind_);
+    auto it = find_zone(models_, zone);
+    if (it != models_.end() && it->first == zone) {
       // The raw trace works here: extend() skips everything at or before the
       // chain's trained tail, and slice() would only perturb the first point's
       // timestamp anyway.
-      it->second.extend(book.trace(zone, kind), from, to);
+      it->second.extend(trace, trained_to_, now);
     } else {
-      SpotTrace slice = book.trace(zone, kind).slice(history_start, to);
-      PriceTick od = PriceTick::from_money(on_demand_price_zone(zone, kind));
-      set(zone, ZoneFailureModel::train(slice, od, fp_prime, est));
+      PriceTick od = PriceTick::from_money(on_demand_price_zone(zone, kind_));
+      models_.emplace(it, zone, ZoneFailureModel::train(
+                                    trace.slice(history_start_, now), od));
     }
   }
+  trained_to_ = now;
+}
+
+void FailureModelBook::clear() {
+  audit_.write("FailureModelBook::clear");
+  models_.clear();
 }
 
 TransientCache::Stats FailureModelBook::cache_stats() const {

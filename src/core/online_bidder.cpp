@@ -119,14 +119,16 @@ BidDecision OnlineBidder::fallback(
 
 BidDecision OnlineBidder::decide(const FailureModelBook& models,
                                  const MarketSnapshot& snapshot,
-                                 const ServiceSpec& spec) const {
+                                 const ServiceSpec& spec,
+                                 OobEstimator estimator) const {
   // One transient analysis per zone serves every candidate size below.
+  const FpQuery query{spec.baseline_fp, estimator};
   std::vector<std::pair<int, BidCurve>> curves;
   curves.reserve(snapshot.size());
   for (const auto& st : snapshot) {
     if (!models.has(st.zone)) continue;
-    curves.emplace_back(
-        st.zone, models.model(st.zone).bid_curve(st, opts_.horizon_minutes));
+    curves.emplace_back(st.zone, models.model(st.zone).bid_curve(
+                                     st, opts_.horizon_minutes, query));
   }
 
   // Fill every zone's threshold curve up front, in parallel.  The size loop
@@ -135,7 +137,8 @@ BidDecision OnlineBidder::decide(const FailureModelBook& models,
   // after another on this thread.  Priming computes the same values
   // (hit_curve is bit-identical to per-threshold hit_one), so decisions are
   // unaffected.
-  // par: owned — each index primes only its own curve's private cache
+  // par: owned — each index primes only its own zone's memo entry (filled
+  // under the entry's mutex, which concurrent readers of a shared book take)
   parallel_for(global_pool(), curves.size(),
                [&](std::size_t i) { curves[i].second.prime_all(); });
 

@@ -62,10 +62,12 @@ class OnlineBidder {
   explicit OnlineBidder(Options opts) : opts_(opts) {}
 
   /// One bidding decision (Fig. 3).  `snapshot` must cover every zone that
-  /// `models` knows; zones without a feasible bid are skipped.
+  /// `models` knows; zones without a feasible bid are skipped.  The spec's
+  /// baseline_fp is FP' of the Eq. 4 composition.
   BidDecision decide(const FailureModelBook& models,
-                     const MarketSnapshot& snapshot,
-                     const ServiceSpec& spec) const;
+                     const MarketSnapshot& snapshot, const ServiceSpec& spec,
+                     OobEstimator estimator =
+                         OobEstimator::kFirstPassage) const;
 
   const Options& options() const { return opts_; }
   /// Retargets the horizon (adaptive-interval extension, §5.5).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "quorum/availability.hpp"
@@ -12,11 +13,24 @@ JupiterStrategy::JupiterStrategy(const TraceBook& book, ServiceSpec spec,
                                  SimTime history_start,
                                  OnlineBidder::Options opts,
                                  OobEstimator estimator)
-    : book_(book),
-      spec_(std::move(spec)),
-      history_start_(history_start),
+    : spec_(std::move(spec)),
       bidder_(opts),
-      estimator_(estimator) {}
+      estimator_(estimator),
+      own_(std::make_shared<FailureModelBook>(book, spec_.kind,
+                                              history_start)),
+      models_(own_) {}
+
+JupiterStrategy::JupiterStrategy(
+    std::shared_ptr<const FailureModelBook> models, ServiceSpec spec,
+    OnlineBidder::Options opts, OobEstimator estimator)
+    : spec_(std::move(spec)),
+      bidder_(opts),
+      estimator_(estimator),
+      models_(std::move(models)) {
+  if (!models_ || models_->kind() != spec_.kind) {
+    throw std::invalid_argument("shared failure models of another kind");
+  }
+}
 
 StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
                                          SimTime now,
@@ -28,7 +42,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
                              const StrategyDecision& d) {
     if (obs::Registry* reg = obs::metrics()) {
       reg->counter("core.decisions", {{"outcome", outcome}}).inc();
-      TransientCache::Stats cs = models_.cache_stats();
+      TransientCache::Stats cs = models_->cache_stats();
       reg->gauge("core.cache_hits").set(static_cast<double>(cs.hits));
       reg->gauge("core.cache_misses").set(static_cast<double>(cs.misses));
       reg->gauge("core.cache_hit_rate").set(cs.hit_rate());
@@ -40,22 +54,20 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
     }
   };
 
-  std::vector<int> zones;
-  zones.reserve(snapshot.size());
-  for (const auto& st : snapshot) zones.push_back(st.zone);
-  if (incremental_ && warm_) {
+  if (own_) {
     // Fold only the change points observed since the previous decision into
-    // the warm models.  extend() is exact — the resulting chains (and hence
-    // every decision below) are bit-identical to a full retrain.
-    models_.extend(book_, spec_.kind, zones, history_start_, trained_to_, now,
-                   spec_.baseline_fp, estimator_);
-  } else {
-    models_ = FailureModelBook::train(book_, spec_.kind, zones, history_start_,
-                                      now, spec_.baseline_fp, estimator_);
-    warm_ = incremental_;
+    // the private book.  Exact: the chains (and every decision below) are
+    // bit-identical to a full retrain.
+    std::vector<int> zones;
+    zones.reserve(snapshot.size());
+    for (const auto& st : snapshot) zones.push_back(st.zone);
+    if (!incremental_) own_->clear();
+    own_->advance_to(zones, now);
+  } else if (models_->trained_to() != now) {
+    throw std::logic_error("shared failure models not advanced to now");
   }
-  trained_to_ = now;
-  const FailureModelBook& models = models_;
+  const FailureModelBook& models = *models_;
+  const FpQuery query{spec_.baseline_fp, estimator_};
 
   ++decisions_;
 
@@ -82,7 +94,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
         if (s.zone == h.zone) st = &s;
       }
       if (!st || !models.has(h.zone)) return false;
-      BidCurve curve = models.model(h.zone).bid_curve(*st, horizon);
+      BidCurve curve = models.model(h.zone).bid_curve(*st, horizon, query);
       double fp = curve.fp_at(h.bid);
       if (fp >= 1.0) return false;  // bid underwater or at/above on-demand
       fps.push_back(fp);
@@ -98,7 +110,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
     return stay;
   }
 
-  last_ = bidder_.decide(models, snapshot, spec_);
+  last_ = bidder_.decide(models, snapshot, spec_, estimator_);
   if (!last_.satisfies_constraint) ++fallbacks_;
 
   // Even on a full refresh, staying can beat moving once replacement costs

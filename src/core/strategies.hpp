@@ -38,17 +38,27 @@ class BiddingStrategy {
 /// The paper's availability- and cost-aware framework.  Folds newly observed
 /// price data into its failure models before every decision ("with more and
 /// more spot prices data collected, the estimation can be improved", §4).
-/// The models are kept warm between decisions: the first decision trains
-/// from scratch over [history_start, now), every later one extends the
-/// existing chains with just the change points since the previous decision
-/// (FailureModelBook::extend) — same models, O(new points) instead of
-/// O(full history) per interval.
+/// The models live in a FailureModelBook kept warm between decisions: the
+/// first decision trains from scratch over [history_start, now), every later
+/// one extends the chains with just the change points since the previous
+/// one — same models, O(new points) instead of O(full history) per interval.
+///
+/// The book is either private (advanced by decide() itself, the replay
+/// case) or shared with other strategies of the same instance kind and
+/// advanced by its owner before they decide (a fleet cluster advances one
+/// per kind each epoch).  The service's FP' and estimator are per-query
+/// arguments, so sharing changes no decision.
 class JupiterStrategy : public BiddingStrategy {
  public:
-  /// `book` must outlive the strategy.  Training uses the window
-  /// [history_start, decision time).
+  /// Private book: `book` must outlive the strategy.  Training uses the
+  /// window [history_start, decision time).
   JupiterStrategy(const TraceBook& book, ServiceSpec spec,
                   SimTime history_start, OnlineBidder::Options opts,
+                  OobEstimator estimator = OobEstimator::kFirstPassage);
+  /// Shared book of `spec.kind`, which its owner advances to every decision
+  /// time before decide() runs (decide() throws std::logic_error if not).
+  JupiterStrategy(std::shared_ptr<const FailureModelBook> models,
+                  ServiceSpec spec, OnlineBidder::Options opts,
                   OobEstimator estimator = OobEstimator::kFirstPassage);
 
   std::string name() const override { return "Jupiter"; }
@@ -68,7 +78,7 @@ class JupiterStrategy : public BiddingStrategy {
   /// Benchmarks only: disables warm models, forcing a full retrain (and
   /// cold transient caches) every decision.  Decisions are identical either
   /// way — incremental training is exact — so this isolates the cost of the
-  /// naive path.
+  /// naive path.  Applies to a private book only.
   void set_incremental(bool on) { incremental_ = on; }
 
   /// Decisions where no deployment met the availability target and the
@@ -76,26 +86,24 @@ class JupiterStrategy : public BiddingStrategy {
   /// kept even when no metrics registry is installed).
   std::int64_t fallbacks() const { return fallbacks_; }
 
-  /// Transient-cache counters summed over the warm models.
-  TransientCache::Stats cache_stats() const { return models_.cache_stats(); }
+  /// Transient-cache counters of the book (summed over its zone models;
+  /// for a shared book, every reader's lookups).
+  TransientCache::Stats cache_stats() const { return models_->cache_stats(); }
 
  private:
   /// Cadence of full re-optimizations; between them the strategy only
   /// re-validates the held deployment against the availability constraint.
   static constexpr int kFullRefreshEvery = 6;
 
-  const TraceBook& book_;
   ServiceSpec spec_;
-  SimTime history_start_;
   OnlineBidder bidder_;
   OobEstimator estimator_;
   BidDecision last_;
   int decisions_ = 0;
   std::int64_t fallbacks_ = 0;
-  FailureModelBook models_;
-  bool warm_ = false;
+  std::shared_ptr<FailureModelBook> own_;  ///< the private book; null if shared
+  std::shared_ptr<const FailureModelBook> models_;  ///< the book decide() reads
   bool incremental_ = true;
-  SimTime trained_to_{0};
 };
 
 /// Extra(m, p): take the baseline node count plus m additional nodes in the

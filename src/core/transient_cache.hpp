@@ -2,9 +2,11 @@
 //
 // One ZoneFailureModel owns one TransientCache.  Every BidCurve the model
 // hands out for the same (state, clamped age, horizon) key shares one Entry,
-// so the first-passage values computed while evaluating the held deployment
-// are reused by the full bid search within the same decision, and — as long
-// as the zone's chain has not been retrained — across decisions too.  Keys
+// whatever the query's FP' or estimator, so the first-passage values
+// computed while evaluating the held deployment are reused by the full bid
+// search within the same decision, and — as long as the zone's chain has
+// not been retrained — across decisions too.  In a fleet cluster the model
+// (and so the cache) is shared by every Jupiter service of its kind.  Keys
 // use the *clamped* age (see SemiMarkovChain::clamped_age): once a price has
 // held longer than any observed sojourn, consecutive decisions map to the
 // same entry even though the raw age keeps growing.

@@ -125,13 +125,18 @@ class Cluster {
         m.add_capacity_window(f.from, f.to, permille);
       }
     }
-    // Services, in id order.
+    // Services, in id order.  Jupiter services of one instance kind (and
+    // training start) read one failure-model book, advanced once per epoch
+    // in tick(): at a given epoch they would all train the same chains on
+    // the same published traces anyway.
     services_.reserve(cfgs.size());
     for (ServiceConfig& c : cfgs) {
       ServiceState s;
       s.cfg = std::move(c);
-      s.strategy = make_strategy(shared_, s.cfg.strategy);
       s.is_jupiter = s.cfg.strategy.kind == StrategyKind::kJupiter;
+      s.strategy = make_strategy(
+          shared_, s.cfg.strategy,
+          s.is_jupiter ? model_book(s.cfg.strategy) : nullptr);
       s.rng = Rng(s.cfg.seed);
       s.next_decide = start_;
       s.out.id = s.cfg.id;
@@ -159,12 +164,17 @@ class Cluster {
     shared_.audit_acquire();
     baseline_.audit_acquire();
     for (SpotMarket& m : markets_) m.audit_acquire();
+    for (auto& book : model_books_) book->audit_acquire();
     sim_ = std::make_unique<Simulator>();
     prev_tick_ = start_;
     sim_->schedule_at(start_, [this] { tick(); });
     sim_->run_until(end_);
     events_dispatched_ = sim_->core_stats().dispatched;
     finish();
+    for (auto& book : model_books_) {
+      transient_dp_runs_ += book->cache_stats().misses;
+      book->audit_release();
+    }
     for (SpotMarket& m : markets_) m.audit_release();
     baseline_.audit_release();
     shared_.audit_release();
@@ -179,9 +189,23 @@ class Cluster {
   obs::MetricsShard* shard() { return shard_.get(); }
   std::vector<MarketEpochRow>& epoch_rows() { return epoch_rows_; }
   std::uint64_t events_dispatched() const { return events_dispatched_; }
+  std::uint64_t transient_dp_runs() const { return transient_dp_runs_; }
   int index() const { return index_; }
 
  private:
+  /// The shared failure-model book for a Jupiter service's kind and
+  /// training start, created on first use.
+  std::shared_ptr<FailureModelBook> model_book(const StrategyParams& p) {
+    for (auto& book : model_books_) {
+      if (book->kind() == p.spec.kind &&
+          book->history_start() == p.history_start) {
+        return book;
+      }
+    }
+    return model_books_.emplace_back(std::make_shared<FailureModelBook>(
+        shared_, p.spec.kind, p.history_start));
+  }
+
   int market_of(int zone, InstanceKind kind) const {
     auto it = market_index_.find({zone, static_cast<int>(kind)});
     if (it == market_index_.end()) {
@@ -219,8 +243,12 @@ class Cluster {
       settle(t);
       return;
     }
-    // 4. Batch-decide every service whose cadence is due (parallel, private
-    //    slots; applied sequentially in service order in step 5).
+    // 4. Advance the shared failure models to t: one extend per (zone,
+    //    kind), and one transient cache per zone model, serve every Jupiter
+    //    service deciding below.
+    for (auto& book : model_books_) book->advance_to(zones_, t);
+    // 5. Batch-decide every service whose cadence is due (parallel, private
+    //    slots; applied sequentially in service order in step 6).
     std::vector<std::size_t> due;
     for (std::size_t i = 0; i < services_.size(); ++i) {
       if (services_[i].next_decide == t) due.push_back(i);
@@ -230,6 +258,8 @@ class Cluster {
       TimeDelta interval = 0;
     };
     std::vector<Slot> slots(due.size());
+    // The shared failure-model books were advanced above and are only read
+    // here; transient memo entries fill under their own mutex.
     // par: owned — each index fills its own pre-allocated decision slot;
     // decisions are applied sequentially in service order afterwards
     parallel_for(pool_, due.size(), [&](std::size_t i) {
@@ -258,14 +288,14 @@ class Cluster {
       slots[i].decision = s.strategy->decide(snapshot, t, held);
       slots[i].interval = iv;
     });
-    // 5. Apply the decisions in service order: terminate and bill retired
+    // 6. Apply the decisions in service order: terminate and bill retired
     //    holdings, register new spot requests (pending until the clearing),
     //    launch on-demand nodes, open the next interval.
     for (std::size_t i = 0; i < due.size(); ++i) {
       apply_decision(services_[due[i]], slots[i].decision, slots[i].interval,
                      t);
     }
-    // 6. Clear every market at this epoch, in market order; resolve the
+    // 7. Clear every market at this epoch, in market order; resolve the
     //    pending requests and clearing-price kills.
     clear_markets(t);
     prev_tick_ = t;
@@ -547,12 +577,15 @@ class Cluster {
   std::vector<SpotMarket> markets_;
   std::vector<std::vector<std::uint32_t>> live_;  ///< per market
   std::vector<ServiceState> services_;
+  /// Per (kind, training start); read by the Jupiter services' strategies.
+  std::vector<std::shared_ptr<FailureModelBook>> model_books_;
   std::vector<Instance> instances_;
   std::vector<InstanceRecord> records_;
   std::unique_ptr<obs::MetricsShard> shard_;  ///< when collect_telemetry
   std::vector<MarketEpochRow> epoch_rows_;    ///< when collect_telemetry
   std::unique_ptr<Simulator> sim_;
   std::uint64_t events_dispatched_ = 0;
+  std::uint64_t transient_dp_runs_ = 0;
 };
 
 }  // namespace
@@ -759,6 +792,7 @@ FleetReport run_fleet(const FleetOptions& opts,
                                      rows.begin(), rows.end());
     }
     report.events_dispatched += cl->events_dispatched();
+    report.transient_dp_runs += cl->transient_dp_runs();
     for (const ServiceState& s : cl->services()) {
       if (s.is_jupiter) {
         report.bidder_fallbacks +=

@@ -209,6 +209,12 @@ struct FleetReport {
   /// Jupiter decisions that fell back to the most available deployment
   /// because none met the target (not folded into the fingerprint).
   std::int64_t bidder_fallbacks = 0;
+  /// Transient analyses (hit_one / hit_curve / exceed_curve DP runs, i.e.
+  /// transient-cache misses) summed over the clusters' shared failure-model
+  /// books.  Volatile, not in the fingerprint: under the pool, whether a
+  /// lazy single-threshold lookup or a whole-curve prime reaches a fresh
+  /// memo entry first moves the count, never a value.
+  std::uint64_t transient_dp_runs = 0;
 
   Money total_cost() const;
   TimeDelta total_downtime() const;

@@ -291,7 +291,13 @@ void Replica::become_leader() {
         }
       }
       if (auto full = reconstruct_from_chunks(chunks)) {
-        sm_.apply(full->payload);
+        // A batched slot carries an encoded batch: replay it op by op, as
+        // apply_ready() does for a full batch value.
+        if (full->kind == ValueKind::kBatch) {
+          for (const auto& op : decode_batch(full->payload)) sm_.apply(op);
+        } else {
+          sm_.apply(full->payload);
+        }
         st.proposal_full = *full;
         st.applied_chunk_only = false;
       }

@@ -35,10 +35,12 @@ struct StrategyParams {
 };
 
 /// Builds a fresh strategy.  `book` must outlive the result (Jupiter trains
-/// on it incrementally; for a fleet service the book is the cluster's live
-/// endogenous book, so the models fold the fleet's own price impact back
-/// into the next decision).
-std::unique_ptr<BiddingStrategy> make_strategy(const TraceBook& book,
-                                               const StrategyParams& params);
+/// on it incrementally).  A Jupiter strategy given `models` reads that
+/// shared book instead of training a private one; its owner advances it
+/// (a fleet cluster's book follows the live endogenous trace, so the models
+/// fold the fleet's own price impact back into the next decision).
+std::unique_ptr<BiddingStrategy> make_strategy(
+    const TraceBook& book, const StrategyParams& params,
+    std::shared_ptr<const FailureModelBook> models = nullptr);
 
 }  // namespace jupiter

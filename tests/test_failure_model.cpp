@@ -27,9 +27,11 @@ MarketZoneState state_at(PriceTick price, int age = 0) {
 }
 
 TEST(FailureModel, RejectsBadFpPrime) {
-  EXPECT_THROW(ZoneFailureModel(make_chain(), PriceTick(440), 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(ZoneFailureModel(make_chain(), PriceTick(440), -0.1),
+  ZoneFailureModel model(make_chain(), PriceTick(440));
+  MarketZoneState st = state_at(PriceTick(100));
+  EXPECT_THROW(model.bid_curve(st, 60, FpQuery{1.0}), std::invalid_argument);
+  EXPECT_THROW(model.bid_curve(st, 60, FpQuery{-0.1}), std::invalid_argument);
+  EXPECT_THROW(model.estimate_fp(st, 60, PriceTick(120), FpQuery{1.0}),
                std::invalid_argument);
 }
 
@@ -62,10 +64,10 @@ TEST(FailureModel, SafeBidFloorsAtFpPrime) {
 }
 
 TEST(FailureModel, Eq4Composition) {
-  ZoneFailureModel model(make_chain(), PriceTick(440), 0.01);
+  ZoneFailureModel model(make_chain(), PriceTick(440));
   MarketZoneState st = state_at(PriceTick(100));
   double oob = model.out_of_bid_probability(st, 60, PriceTick(120));
-  double fp = model.estimate_fp(st, 60, PriceTick(120));
+  double fp = model.estimate_fp(st, 60, PriceTick(120), FpQuery{0.01});
   EXPECT_NEAR(fp, 1.0 - (1.0 - 0.01) * (1.0 - oob), 1e-12);
   EXPECT_GT(oob, 0.0);
   EXPECT_LT(oob, 1.0);
@@ -83,14 +85,14 @@ TEST(FailureModel, FpMonotoneNonincreasingInBid) {
 }
 
 TEST(FailureModel, FirstPassageDominatesOccupancy) {
-  ZoneFailureModel fp_model(make_chain(), PriceTick(440), 0.01,
-                            OobEstimator::kFirstPassage);
-  ZoneFailureModel occ_model = fp_model.with_estimator(OobEstimator::kOccupancy);
+  ZoneFailureModel model(make_chain(), PriceTick(440));
   MarketZoneState st = state_at(PriceTick(100));
   for (int bid : {100, 120}) {
-    EXPECT_GE(
-        fp_model.out_of_bid_probability(st, 120, PriceTick(bid)) + 1e-12,
-        occ_model.out_of_bid_probability(st, 120, PriceTick(bid)));
+    EXPECT_GE(model.out_of_bid_probability(st, 120, PriceTick(bid),
+                                           OobEstimator::kFirstPassage) +
+                  1e-12,
+              model.out_of_bid_probability(st, 120, PriceTick(bid),
+                                           OobEstimator::kOccupancy));
   }
 }
 
@@ -110,16 +112,18 @@ TEST(FailureModel, MinBidMeetsTarget) {
 }
 
 TEST(FailureModel, MinBidInfeasibleBelowFpPrime) {
-  ZoneFailureModel model(make_chain(), PriceTick(440), 0.01);
+  ZoneFailureModel model(make_chain(), PriceTick(440));
   // No bid can beat the SLA floor.
-  EXPECT_EQ(model.min_bid_for_fp(state_at(PriceTick(100)), 60, 0.005),
+  EXPECT_EQ(model.min_bid_for_fp(state_at(PriceTick(100)), 60, 0.005,
+                                 FpQuery{0.01}),
             std::nullopt);
 }
 
 TEST(FailureModel, MinBidInfeasibleWhenOnDemandTooLow) {
   // On-demand below the spike: the only safe bid is out of range.
-  ZoneFailureModel model(make_chain(), PriceTick(150), 0.01);
-  EXPECT_EQ(model.min_bid_for_fp(state_at(PriceTick(100)), 60, 0.0101),
+  ZoneFailureModel model(make_chain(), PriceTick(150));
+  EXPECT_EQ(model.min_bid_for_fp(state_at(PriceTick(100)), 60, 0.0101,
+                                 FpQuery{0.01}),
             std::nullopt);
 }
 

@@ -174,16 +174,16 @@ TEST(IncrementalModel, CachedBidCurveMatchesFreshAndCountsHits) {
   SpotTrace tr = synthetic_trace(SimTime(0), SimTime(2 * kWeek), 57);
   for (OobEstimator est :
        {OobEstimator::kFirstPassage, OobEstimator::kOccupancy}) {
-    ZoneFailureModel model(SemiMarkovChain::estimate(tr), PriceTick(200),
-                           kOnDemandFailureProbability, est);
+    ZoneFailureModel model(SemiMarkovChain::estimate(tr), PriceTick(200));
+    const FpQuery q{kOnDemandFailureProbability, est};
     // Cache-less reference: a curve built directly on the chain.
     MarketZoneState st{0, PriceTick(55), 12, PriceTick(200)};
     int state = model.chain().nearest_state(st.price);
     BidCurve fresh(&model.chain(), state, st.age_minutes, 90, st.price,
                    PriceTick(200), kOnDemandFailureProbability, est);
 
-    BidCurve cached = model.bid_curve(st, 90);
-    BidCurve cached2 = model.bid_curve(st, 90);  // same key, same entry
+    BidCurve cached = model.bid_curve(st, 90, q);
+    BidCurve cached2 = model.bid_curve(st, 90, q);  // same key, same entry
     for (int i = 0; i < model.chain().state_count(); ++i) {
       EXPECT_EQ(cached.oob_at_index(i), fresh.oob_at_index(i)) << "i=" << i;
       EXPECT_EQ(cached2.oob_at_index(i), fresh.oob_at_index(i)) << "i=" << i;
@@ -204,7 +204,7 @@ TEST(IncrementalModel, CachedBidCurveMatchesFreshAndCountsHits) {
     // Retraining must drop the memoized values (fresh stats keep counting).
     SpotTrace longer = synthetic_trace(SimTime(0), SimTime(3 * kWeek), 57);
     EXPECT_TRUE(model.extend(longer, SimTime(2 * kWeek), SimTime(3 * kWeek)));
-    BidCurve after = model.bid_curve(st, 90);
+    BidCurve after = model.bid_curve(st, 90, q);
     BidCurve refreshed(&model.chain(), model.chain().nearest_state(st.price),
                        st.age_minutes, 90, st.price, PriceTick(200),
                        kOnDemandFailureProbability, est);

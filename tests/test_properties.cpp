@@ -88,7 +88,7 @@ TEST_P(BidCurveProperty, MonotoneAndConsistent) {
       if (b < st.price || b >= st.on_demand) continue;
       double fp = curve.fp_at(b);
       EXPECT_LE(fp, prev + 1e-9);
-      EXPECT_GE(fp, model.fp_prime() - 1e-12);  // Eq. 4 floor
+      EXPECT_GE(fp, kOnDemandFailureProbability - 1e-12);  // Eq. 4 floor
       prev = fp;
     }
     for (double target : {0.5, 0.1, 0.02, 0.0103}) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <string>
 
 #include "ec/reed_solomon.hpp"
 #include "obs/obs.hpp"
 #include "paxos/group.hpp"
+#include "paxos/harness.hpp"
 #include "storage/kv_store.hpp"
+#include "util/rng.hpp"
 
 namespace jupiter::paxos {
 namespace {
@@ -323,6 +327,90 @@ TEST_F(RsPaxosEncodeOnce, ChosenChunksMatchOneEncodeOfTheBatch) {
   }
   EXPECT_EQ(encodes(), 2u);  // the proposal's, plus this test's own
   expect_no_chunk_set_below_commit();
+}
+
+// ---- leader failover under the batched data plane -------------------------
+//
+// A new leader rebuilds every slot it applied as a chunk from the promise
+// payloads and replays it into its store.  With batching on, such a slot
+// holds an encoded batch of commands, not one command, so the rebuild must
+// decode it and apply op by op, as apply_ready() does for a full batch.
+
+TEST(RsPaxosFailover, BatchedSlotsSurviveRepeatedLeaderCrashes) {
+  ClusterHarness::Options o;
+  o.replica = rs_options();
+  o.replica.plane = ClusterHarness::data_plane_preset();
+  o.net_seed = 61;
+  o.group_seed = 62;
+  o.settle = 120;
+  std::map<NodeId, KvStoreState*> sms;
+  ClusterHarness cluster(o, [&sms](NodeId id) {
+    auto sm = std::make_unique<KvStoreState>();
+    sms[id] = sm.get();
+    return sm;
+  });
+  ASSERT_GE(cluster.wait_for_leader(), 0);
+
+  // 64 closed-loop clients, one key each; value = the client's sequence
+  // number, so the store's final value can be checked against the acks.
+  constexpr int kClients = 64;
+  const SimTime end = cluster.sim.now() + 1500;
+  KvClient client(cluster.group);
+  std::vector<int> submitted(kClients, 0);
+  std::vector<int> acked(kClients, -1);
+  std::int64_t ok = 0;
+  std::function<void(int)> pump = [&](int c) {
+    if (cluster.sim.now() >= end) return;
+    int seq = submitted[static_cast<std::size_t>(c)]++;
+    std::string v = std::to_string(seq);
+    client.put("c" + std::to_string(c),
+               std::vector<std::uint8_t>(v.begin(), v.end()),
+               [&, c, seq](KvResponse r) {
+                 if (r.status == KvStatus::kOk) {
+                   acked[static_cast<std::size_t>(c)] = seq;
+                   ++ok;
+                 }
+                 pump(c);
+               });
+  };
+  for (int c = 0; c < kClients; ++c) pump(c);
+
+  // Every 150 sim-s: bring the previous victim back, crash a random live
+  // node (the leader half the time), so at most one of five is down.
+  Rng rng(2015);
+  NodeId down = -1;
+  int leader_kills = 0;
+  while (cluster.sim.now() + 150 < end) {
+    cluster.sim.run_until(cluster.sim.now() + 150);
+    if (down >= 0) cluster.group.restart(down);
+    NodeId lead = cluster.group.leader_id();
+    if (lead >= 0 && rng.below(2) == 0) {
+      down = lead;
+      ++leader_kills;
+    } else {
+      std::vector<NodeId> ids = cluster.group.node_ids();
+      down = ids[rng.below(ids.size())];
+    }
+    cluster.group.crash(down);
+  }
+  if (down >= 0) cluster.group.restart(down);
+  cluster.sim.run_until(end + 600);
+
+  EXPECT_GE(leader_kills, 2);
+  EXPECT_GT(ok, 1000);
+  NodeId lead = cluster.wait_for_leader();
+  ASSERT_GE(lead, 0);
+  // The leader's store holds, per key, a value no older than the last ack
+  // and no newer than the last submission.
+  for (int c = 0; c < kClients; ++c) {
+    auto i = static_cast<std::size_t>(c);
+    if (acked[i] < 0) continue;
+    auto v = sms[lead]->get("c" + std::to_string(c));
+    ASSERT_TRUE(v.has_value()) << "key c" << c;
+    int seq = std::stoi(std::string(v->begin(), v->end()));
+    EXPECT_GE(seq, acked[i]) << "key c" << c;
+    EXPECT_LT(seq, submitted[i]) << "key c" << c;
+  }
 }
 
 }  // namespace
